@@ -10,8 +10,6 @@ from .control import (
 )
 from .features import (
     FeatureSet,
-    Keypoint,
-    SyntheticDetector,
     SyntheticDetectorConfig,
     read_features,
     synthetic_detect,

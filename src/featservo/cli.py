@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for batch trials")
     return parser
 
 
@@ -104,9 +103,7 @@ def _cmd_batch(args) -> int:
     base = build_run_config(cfg)
     results = []
     for spec in batch_specs(cfg):
-        results.extend(
-            run_batch_suite(spec, scene, base, seed=cfg["seed"], threads=args.threads)
-        )
+        results.extend(run_batch_suite(spec, scene, base, seed=cfg["seed"]))
     write_batch_csv(results, out / "batch.csv")
     for r in results:
         tag = "clutter" if r.clutter else "clean"

@@ -17,10 +17,6 @@ class InsufficientFeatures(FeatServoError):
     """Fewer than 3 correspondences: the twist is unconstrained (2k < 6)."""
 
 
-class DetectorUnavailable(FeatServoError):
-    """The configured feature detector cannot produce output."""
-
-
 class ParseError(FeatServoError):
     """Malformed feature-exchange record; message carries line/field info."""
 

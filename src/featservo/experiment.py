@@ -4,7 +4,6 @@ increasing initial offsets, profile exports, and the experiment config file.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 from dataclasses import dataclass, replace
 
@@ -16,15 +15,15 @@ from .features import SyntheticDetectorConfig
 from .geometry import CameraIntrinsics, Pose, compose
 from .matching import RansacConfig
 from .simulate import (
-    DEFAULT_INTRINSICS,
+    _NUM,
+    TRACE_COLUMNS,
     Scene,
     ServoRunConfig,
     ServoTrace,
     make_box_scene,
     run_servo,
+    write_csv,
 )
-
-_NUM = "%.17g"
 
 
 def _rot_x(a):
@@ -166,8 +165,8 @@ class BatchSpec:
     clutter: bool = True
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ConfigError("trials must be an integer >= 1")
         prev_hi = 0.0
         for lo, hi in self.bands_cm:
             if hi <= lo or lo < prev_hi:
@@ -204,23 +203,19 @@ def run_batch_suite(
     scene: Scene,
     base_cfg: ServoRunConfig,
     seed: int = 0,
-    threads: int = 1,
     keep_traces: bool = False,
 ):
     """Per band: fraction of trials that converge below the success threshold.
 
-    Trials are seeded independently, so they can run concurrently; results
-    aggregate in (band, trial) order regardless of completion order.
+    Each trial is seeded from (seed, band, trial) alone; trials run in
+    (band, trial) order.
     """
     work_scene = scene if spec.clutter else scene.without_clutter()
-    jobs = [(bi, t) for bi in range(len(spec.bands_cm)) for t in range(spec.trials)]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(
-                pool.map(lambda j: _batch_trial(work_scene, base_cfg, spec, *j, seed), jobs)
-            )
-    else:
-        traces = [_batch_trial(work_scene, base_cfg, spec, bi, t, seed) for bi, t in jobs]
+    traces = [
+        _batch_trial(work_scene, base_cfg, spec, bi, t, seed)
+        for bi in range(len(spec.bands_cm))
+        for t in range(spec.trials)
+    ]
 
     results = []
     for bi, band in enumerate(spec.bands_cm):
@@ -243,46 +238,48 @@ def run_batch_suite(
 # ---------------------------------------------------------------------------
 
 
+_TRACE = dict(TRACE_COLUMNS)
+_TWIST_PROFILE = [(name, _TRACE[name]) for name in ("cycle", "vx", "vy", "vz", "wx", "wy", "wz")]
+_ERROR_PROFILE = [
+    ("cycle", _TRACE["cycle"]),
+    ("mean_error_px", _TRACE["mean_error_px"]),
+    ("correspondence_count", _TRACE["n_correspondences"]),
+    ("tracking", _TRACE["tracking"]),
+]
+_ACCURACY_COLUMNS = [
+    ("scene", lambda r: str(r.scene_index)),
+    ("goal", lambda r: str(r.goal_index)),
+    ("start", lambda r: str(r.start_index)),
+    ("status", lambda r: r.status),
+    ("cycles", lambda r: str(r.cycles)),
+    ("avg1_px", lambda r: _NUM % r.avg1),
+    ("avg2_px", lambda r: _NUM % r.avg2),
+]
+_BATCH_COLUMNS = [
+    ("band_lo_cm", lambda r: _NUM % r.band_cm[0]),
+    ("band_hi_cm", lambda r: _NUM % r.band_cm[1]),
+    ("clutter", lambda r: "1" if r.clutter else "0"),
+    ("trials", lambda r: str(r.trials)),
+    ("converged", lambda r: str(r.converged)),
+    ("success_ratio", lambda r: _NUM % r.success_ratio),
+]
+
+
 def export_profiles(trace: ServoTrace, twist_path, errors_path) -> None:
     """Two per-cycle CSVs: twist components, and (mean error, correspondence
-    count, tracking flag). Deterministic byte-for-byte for a given trace."""
+    count, tracking flag). Each column is the same cycle's trace.csv column."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    with open(twist_path, "w") as f:
-        f.write("# featservo_twist_profile_v1\n")
-        f.write("cycle,vx,vy,vz,wx,wy,wz\n")
-        for r in trace.records:
-            f.write(str(r.cycle) + "," + ",".join(_NUM % v for v in r.twist) + "\n")
-    with open(errors_path, "w") as f:
-        f.write("# featservo_error_profile_v1\n")
-        f.write("cycle,mean_error_px,correspondence_count,tracking\n")
-        for r in trace.records:
-            f.write(
-                f"{r.cycle},{_NUM % r.mean_error},{r.n_correspondences},"
-                f"{1 if r.tracking else 0}\n"
-            )
+    write_csv(twist_path, "featservo_twist_profile_v1", _TWIST_PROFILE, trace.records)
+    write_csv(errors_path, "featservo_error_profile_v1", _ERROR_PROFILE, trace.records)
 
 
 def write_accuracy_csv(records, path) -> None:
-    with open(path, "w") as f:
-        f.write("# featservo_accuracy_v1\n")
-        f.write("scene,goal,start,status,cycles,avg1_px,avg2_px\n")
-        for r in records:
-            f.write(
-                f"{r.scene_index},{r.goal_index},{r.start_index},{r.status},"
-                f"{r.cycles},{_NUM % r.avg1},{_NUM % r.avg2}\n"
-            )
+    write_csv(path, "featservo_accuracy_v1", _ACCURACY_COLUMNS, records)
 
 
 def write_batch_csv(results, path) -> None:
-    with open(path, "w") as f:
-        f.write("# featservo_batch_v1\n")
-        f.write("band_lo_cm,band_hi_cm,clutter,trials,converged,success_ratio\n")
-        for r in results:
-            f.write(
-                f"{_NUM % r.band_cm[0]},{_NUM % r.band_cm[1]},{1 if r.clutter else 0},"
-                f"{r.trials},{r.converged},{_NUM % r.success_ratio}\n"
-            )
+    write_csv(path, "featservo_batch_v1", _BATCH_COLUMNS, results)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +365,12 @@ def load_config(path) -> dict:
     cfg = _merge_strict(_DEFAULT_CONFIG, user)
     if cfg["batch"]["clutter"] not in (True, False, "both"):
         raise ConfigError("batch.clutter must be true, false, or \"both\"")
-    BatchSpec(  # validates bands/trials early
-        bands_cm=tuple(tuple(b) for b in cfg["batch"]["bands_cm"]),
-        rotation_bounds_deg=tuple(cfg["batch"]["rotation_deg"]),
-        trials=cfg["batch"]["trials"],
-    )
+    # build what run and batch build, so check rejects what they would
+    try:
+        build_run_config(cfg)
+        batch_specs(cfg)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 

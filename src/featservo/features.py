@@ -1,32 +1,21 @@
-"""Keypoint/descriptor data model, the detector abstraction, a synthetic
-oracle detector over landmark scenes, and the feature-exchange file format
-used to plug in external learned detectors.
+"""Feature-set data model, a synthetic oracle detector over landmark
+scenes, and the feature-exchange file format used to plug in external
+learned detectors.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DetectorUnavailable, ParseError, SchemaVersionMismatch
+from .errors import ParseError, SchemaVersionMismatch
 from .geometry import CameraIntrinsics, Pose, project_many
 
 DESCRIPTOR_DIM = 256
 _FORMAT_VERSION = 1
 _FLOAT_FMT = "%.17g"  # exact float64 round trip
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    """One detected feature; landmark_id is simulation ground truth only."""
-
-    pixel: np.ndarray
-    descriptor: np.ndarray
-    score: float
-    landmark_id: int | None = None
 
 
 class FeatureSet:
@@ -49,22 +38,21 @@ class FeatureSet:
         if n > 0 and descriptors.shape[0] != n:
             raise ValueError("descriptor row count mismatch")
         w, h = int(image_size[0]), int(image_size[1])
+        # checks in positive form, so NaN (every comparison false) fails them
         if n > 0:
-            if np.any(pixels[:, 0] < 0) or np.any(pixels[:, 0] >= w) or np.any(
-                pixels[:, 1] < 0
-            ) or np.any(pixels[:, 1] >= h):
+            if not np.all((pixels >= 0) & (pixels < (w, h))):
                 raise ValueError("keypoint pixel outside image bounds")
-            if np.any(scores < 0) or np.any(scores > 1):
+            if not np.all((scores >= 0) & (scores <= 1)):
                 raise ValueError("scores must lie in [0, 1]")
             norms = np.linalg.norm(descriptors, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValueError("descriptors must be unit norm")
+            if not np.all(np.abs(norms - 1.0) <= 1e-6):
+                raise ValueError("descriptors must be finite and unit norm")
         if depths is not None:
             depths = np.asarray(depths, dtype=float).reshape(-1)
             if depths.size != n:
                 raise ValueError("depth count != keypoint count")
-            if np.any(depths <= 0):
-                raise ValueError("depths must be positive")
+            if not np.all((depths > 0) & (depths < np.inf)):
+                raise ValueError("depths must be positive and finite")
         if landmark_ids is not None:
             landmark_ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
             if landmark_ids.size != n:
@@ -88,10 +76,6 @@ class FeatureSet:
     @property
     def descriptor_dim(self) -> int:
         return self.descriptors.shape[1] if len(self) else DESCRIPTOR_DIM
-
-    def keypoint(self, i: int) -> Keypoint:
-        lid = None if self.landmark_ids is None else int(self.landmark_ids[i])
-        return Keypoint(self.pixels[i], self.descriptors[i], float(self.scores[i]), lid)
 
     def subset(self, indices) -> "FeatureSet":
         idx = np.asarray(indices, dtype=np.int64)
@@ -146,6 +130,44 @@ def _order_by_score(pixels, scores):
     return np.lexsort((pixels[:, 1], pixels[:, 0], -scores))
 
 
+def _in_frame(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Per-row mask of pixels inside the image; NaN and inf fall outside."""
+    return (
+        (pixels[:, 0] >= 0)
+        & (pixels[:, 0] < intrinsics.width)
+        & (pixels[:, 1] >= 0)
+        & (pixels[:, 1] < intrinsics.height)
+    )
+
+
+def _visible(scene, points: np.ndarray, camera: Pose, intrinsics: CameraIntrinsics):
+    """Project world points; returns (pixels, depths, visible mask).
+
+    Visible means positive depth, inside the frame and within the scene's
+    view cone.
+    """
+    pixels, depths = project_many(camera.world_to_camera(points), intrinsics)
+    visible = (depths > 1e-9) & _in_frame(pixels, intrinsics)
+    visible &= scene.view_cone_mask(points, camera.translation)
+    return pixels, depths, visible
+
+
+def _ranked_features(scene, keep, pixels, descriptors, depths, ids, intrinsics) -> FeatureSet:
+    """Rows `keep` of per-landmark arrays as a FeatureSet, highest
+    confidence first; each row is gathered once, already in order."""
+    scores = landmark_scores(scene.seed, ids[keep])
+    rank = _order_by_score(pixels[keep], scores)
+    rows = keep[rank]
+    return FeatureSet(
+        pixels[rows],
+        descriptors[rows],
+        scores[rank],
+        (intrinsics.width, intrinsics.height),
+        depths=depths[rows],
+        landmark_ids=ids[rows],
+    )
+
+
 def synthetic_detect(
     scene,
     camera: Pose,
@@ -158,28 +180,20 @@ def synthetic_detect(
     Projects every visible landmark (positive depth, in frame, within the
     scene's view cone), applies dropout and pixel/descriptor noise, and
     records ground-truth landmark ids and depths. Deterministic given
-    (scene, camera, cfg.seed) when no generator is supplied.
+    (scene, camera, cfg.seed) when no generator is supplied; a caller that
+    passes one generator to every call gets a fresh noise draw each time.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     points, descriptors, ids = scene.current_view_landmarks()
-    w, h = intrinsics.width, intrinsics.height
-    if points.shape[0] == 0:
-        return FeatureSet.empty((w, h), descriptors.shape[1] if descriptors.size else DESCRIPTOR_DIM)
-
-    cam_pts = camera.world_to_camera(points)
-    pixels, depths = project_many(cam_pts, intrinsics)
-    visible = (depths > 1e-9) & np.all(np.isfinite(pixels), axis=1)
-    visible &= (pixels[:, 0] >= 0) & (pixels[:, 0] < w) & (pixels[:, 1] >= 0) & (pixels[:, 1] < h)
-    visible &= scene.view_cone_mask(points, camera.translation)
-
+    pixels, depths, visible = _visible(scene, points, camera, intrinsics)
     idx = np.flatnonzero(visible)
     # one draw per visible landmark, in scene order, so runs are reproducible
     keep = rng.random(idx.size) >= cfg.detection_dropout
     idx = idx[keep]
     n = idx.size
     if n == 0:
-        return FeatureSet.empty((w, h), descriptors.shape[1])
+        return FeatureSet.empty((intrinsics.width, intrinsics.height), descriptors.shape[1])
 
     noisy_pixels = pixels[idx]
     if cfg.pixel_noise_sigma > 0:
@@ -190,52 +204,8 @@ def synthetic_detect(
     desc = desc / np.linalg.norm(desc, axis=1, keepdims=True)
 
     # keypoints pushed out of frame by noise are dropped, never clamped
-    inb = (
-        (noisy_pixels[:, 0] >= 0)
-        & (noisy_pixels[:, 0] < w)
-        & (noisy_pixels[:, 1] >= 0)
-        & (noisy_pixels[:, 1] < h)
-    )
-    idx, noisy_pixels, desc = idx[inb], noisy_pixels[inb], desc[inb]
-    scores = landmark_scores(scene.seed, ids[idx])
-
-    order = _order_by_score(noisy_pixels, scores)
-    return FeatureSet(
-        noisy_pixels[order],
-        desc[order],
-        scores[order],
-        (w, h),
-        depths=depths[idx][order],
-        landmark_ids=ids[idx][order],
-    )
-
-
-class SyntheticDetector:
-    """Stateful detector bound to one scene/camera; owns its noise stream."""
-
-    def __init__(self, scene, intrinsics: CameraIntrinsics, cfg: SyntheticDetectorConfig):
-        self.scene = scene
-        self.intrinsics = intrinsics
-        self.cfg = cfg
-        self._rng = np.random.default_rng(cfg.seed)
-
-    def detect(self, camera: Pose) -> FeatureSet:
-        return synthetic_detect(self.scene, camera, self.intrinsics, self.cfg, self._rng)
-
-
-class FileDetector:
-    """Replays stored feature files, one per detect() call, in order."""
-
-    def __init__(self, paths):
-        self._paths = list(paths)
-        self._next = 0
-
-    def detect(self, camera: Pose = None) -> FeatureSet:
-        if self._next >= len(self._paths):
-            raise DetectorUnavailable("no more stored feature records")
-        fs = read_features(self._paths[self._next])
-        self._next += 1
-        return fs
+    inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
+    return _ranked_features(scene, inb, noisy_pixels, desc, depths[idx], ids[idx], intrinsics)
 
 
 def top_k(fs: FeatureSet, k: int) -> FeatureSet:
@@ -331,13 +301,3 @@ def read_features(source) -> FeatureSet:
     finally:
         if own:
             f.close()
-
-
-def features_to_string(fs: FeatureSet) -> str:
-    buf = io.StringIO()
-    write_features(fs, buf)
-    return buf.getvalue()
-
-
-def features_from_string(text: str) -> FeatureSet:
-    return read_features(io.StringIO(text))

@@ -84,12 +84,12 @@ class InlierSet:
         return self.correspondences.target_pixels[self.indices]
 
 
-def match_nn(current: FeatureSet, target: FeatureSet, mutual: bool = True) -> CorrespondenceSet:
-    """Euclidean nearest-neighbour matching on descriptors.
+def match_nn(current: FeatureSet, target: FeatureSet) -> CorrespondenceSet:
+    """Mutual Euclidean nearest-neighbour matching on descriptors.
 
-    With mutual=True (default), a pair survives only if each side is the
-    other's nearest neighbour, so no target index appears twice. Equal
-    distances resolve to the lowest index.
+    A pair survives only if each side is the other's nearest neighbour, so
+    no target index appears twice. Equal distances resolve to the lowest
+    index.
     """
     empty = CorrespondenceSet(
         np.zeros(0, dtype=np.int64),
@@ -110,11 +110,8 @@ def match_nn(current: FeatureSet, target: FeatureSet, mutual: bool = True) -> Co
     )
     np.maximum(d2, 0.0, out=d2)
     nearest_tgt = np.argmin(d2, axis=1)
-    if mutual:
-        nearest_cur = np.argmin(d2, axis=0)
-        keep = nearest_cur[nearest_tgt] == np.arange(len(current))
-    else:
-        keep = np.ones(len(current), dtype=bool)
+    nearest_cur = np.argmin(d2, axis=0)
+    keep = nearest_cur[nearest_tgt] == np.arange(len(current))
     cur_idx = np.flatnonzero(keep).astype(np.int64)
     tgt_idx = nearest_tgt[cur_idx].astype(np.int64)
     dist = np.sqrt(d2[cur_idx, tgt_idx])

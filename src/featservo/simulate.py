@@ -21,19 +21,12 @@ from .errors import (
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
-    landmark_scores,
+    _ranked_features,
+    _visible,
     synthetic_detect,
     top_k,
-    _order_by_score,
 )
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    Twist,
-    integrate_twist,
-    pixel_to_normalized,
-    project_many,
-)
+from .geometry import CameraIntrinsics, Pose, Twist, integrate_twist, pixel_to_normalized
 from .matching import (
     RansacConfig,
     TrackingState,
@@ -167,6 +160,15 @@ class Scene:
             return Scene.from_dict(json.load(f))
 
 
+def _clutter_shell(rng: np.random.Generator, n: int, shell: tuple[float, float]) -> np.ndarray:
+    """n points uniform in volume between two spheres around the origin."""
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True) + 1e-300
+    lo, hi = shell
+    radius = rng.uniform(lo**3, hi**3, size=n) ** (1.0 / 3.0)
+    return direction * radius[:, None]
+
+
 def make_box_scene(
     seed: int,
     n_object: int = 120,
@@ -199,16 +201,9 @@ def make_box_scene(
     f2, nrm2 = face(n_side2, 1, -half, (0.0, -1.0, 0.0))
     object_points = np.vstack([f0, f1, f2])
     object_normals = np.vstack([nrm0, nrm1, nrm2]) if view_cone_deg is not None else None
-
-    direction = rng.normal(size=(n_clutter, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True) + 1e-300
-    lo, hi = clutter_shell
-    radius = (rng.uniform(lo**3, hi**3, size=n_clutter)) ** (1.0 / 3.0)
-    clutter_points = direction * radius[:, None]
-
     return Scene(
         object_points,
-        clutter_points,
+        _clutter_shell(rng, n_clutter, clutter_shell),
         seed,
         object_normals,
         view_cone_deg,
@@ -230,15 +225,7 @@ def make_planar_scene(
     half = extent / 2.0
     pts = rng.uniform(-half, half, size=(n_object, 3))
     pts[:, 2] = 0.0
-    if n_clutter > 0:
-        direction = rng.normal(size=(n_clutter, 3))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True) + 1e-300
-        lo, hi = clutter_shell
-        radius = rng.uniform(lo**3, hi**3, size=n_clutter) ** (1.0 / 3.0)
-        clutter = direction * radius[:, None]
-    else:
-        clutter = np.zeros((0, 3))
-    return Scene(pts, clutter, seed, None, None, descriptor_dim)
+    return Scene(pts, _clutter_shell(rng, n_clutter, clutter_shell), seed, None, None, descriptor_dim)
 
 
 def render_target(scene: Scene, target_pose: Pose, intrinsics: CameraIntrinsics) -> FeatureSet:
@@ -246,30 +233,12 @@ def render_target(scene: Scene, target_pose: Pose, intrinsics: CameraIntrinsics)
 
     Only object landmarks appear; clutter is never part of the target.
     """
-    cam_pts = target_pose.world_to_camera(scene.object_points)
-    pixels, depths = project_many(cam_pts, intrinsics)
-    w, h = intrinsics.width, intrinsics.height
-    visible = (depths > 1e-9) & np.all(np.isfinite(pixels), axis=1)
-    visible &= (pixels[:, 0] >= 0) & (pixels[:, 0] < w) & (pixels[:, 1] >= 0) & (pixels[:, 1] < h)
-    if scene.object_normals is not None and scene.max_incidence_deg is not None:
-        to_cam = target_pose.translation - scene.object_points
-        to_cam /= np.linalg.norm(to_cam, axis=1, keepdims=True) + 1e-300
-        visible &= np.sum(to_cam * scene.object_normals, axis=1) >= np.cos(
-            np.deg2rad(scene.max_incidence_deg)
-        )
+    pixels, depths, visible = _visible(scene, scene.object_points, target_pose, intrinsics)
     idx = np.flatnonzero(visible)
     if idx.size < 3:
         raise TooFewVisibleLandmarks(f"only {idx.size} object landmarks visible from target pose")
-    scores = landmark_scores(scene.seed, scene.object_ids[idx])
-    order = _order_by_score(pixels[idx], scores)
-    idx = idx[order]
-    return FeatureSet(
-        pixels[idx],
-        scene.object_descriptors[idx],
-        landmark_scores(scene.seed, scene.object_ids[idx]),
-        (w, h),
-        depths=depths[idx],
-        landmark_ids=scene.object_ids[idx],
+    return _ranked_features(
+        scene, idx, pixels, scene.object_descriptors, depths, scene.object_ids, intrinsics
     )
 
 
@@ -431,11 +400,6 @@ class ServoLoop:
         return record
 
 
-def servo_step(loop: ServoLoop) -> CycleRecord:
-    """Run one detect/match/reject/control cycle of an existing loop."""
-    return loop.step()
-
-
 def run_servo(scene: Scene, cfg: ServoRunConfig) -> ServoTrace:
     """Iterate the servo loop to convergence, cycle budget, or feature loss."""
     loop = ServoLoop(scene, cfg)
@@ -458,35 +422,44 @@ def run_servo(scene: Scene, cfg: ServoRunConfig) -> ServoTrace:
     return ServoTrace(records=records, status=status)
 
 
-_TRACE_SCHEMA = "featservo_trace_v1"
-_NUM = "%.17g"
+_NUM = "%.17g"  # exact float64 round trip in every CSV
+
+
+def write_csv(path, schema: str, columns, rows) -> None:
+    """A '# schema' comment line, the header, then one line per row.
+
+    `columns` is a sequence of (name, cell) pairs; cell(row) is the text of
+    that column for one row.
+    """
+    with open(path, "w") as f:
+        f.write(f"# {schema}\n" + ",".join(name for name, _ in columns) + "\n")
+        for row in rows:
+            f.write(",".join([cell(row) for _, cell in columns]) + "\n")
+
+
+# trace.csv columns in order; the profile CSVs reuse some of them
+TRACE_COLUMNS = (
+    ("cycle", lambda r: str(r.cycle)),
+    ("tracking", lambda r: "1" if r.tracking else "0"),
+    ("event", lambda r: r.event),
+    ("n_correspondences", lambda r: str(r.n_correspondences)),
+    ("n_inliers", lambda r: str(r.n_inliers)),
+    ("mean_error_px", lambda r: _NUM % r.mean_error),
+    ("error_norm", lambda r: _NUM % r.error_norm),
+    *(
+        (name, lambda r, i=i: _NUM % r.twist.item(i))
+        for i, name in enumerate(("vx", "vy", "vz", "wx", "wy", "wz"))
+    ),
+    # pose_0..pose_11 are Pose.to_flat(): rotation row-major, then translation
+    *((f"pose_{i}", lambda r, i=i: _NUM % r.pose.rotation.item(i)) for i in range(9)),
+    *((f"pose_{9 + i}", lambda r, i=i: _NUM % r.pose.translation.item(i)) for i in range(3)),
+    ("inlier_target_ids", lambda r: ";".join(str(i) for i in r.inlier_target_ids)),
+)
 
 
 def write_trace_csv(trace: ServoTrace, path) -> None:
     """Full per-cycle trace, one row per cycle; stable column order."""
-    cols = (
-        ["cycle", "tracking", "event", "n_correspondences", "n_inliers", "mean_error_px",
-         "error_norm", "vx", "vy", "vz", "wx", "wy", "wz"]
-        + [f"pose_{i}" for i in range(12)]
-        + ["inlier_target_ids"]
-    )
-    with open(path, "w") as f:
-        f.write(f"# {_TRACE_SCHEMA}\n")
-        f.write(",".join(cols) + "\n")
-        for r in trace.records:
-            row = [
-                str(r.cycle),
-                "1" if r.tracking else "0",
-                r.event,
-                str(r.n_correspondences),
-                str(r.n_inliers),
-                _NUM % r.mean_error,
-                _NUM % r.error_norm,
-            ]
-            row += [_NUM % v for v in r.twist]
-            row += [_NUM % v for v in r.pose.to_flat()]
-            row.append(";".join(str(i) for i in r.inlier_target_ids))
-            f.write(",".join(row) + "\n")
+    write_csv(path, "featservo_trace_v1", TRACE_COLUMNS, trace.records)
 
 
 def write_trace_summary(trace: ServoTrace, path) -> None:

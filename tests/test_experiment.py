@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -124,12 +125,6 @@ class TestBatchSuite:
             assert r.trials == 3
             assert r.converged == sum(s == "Converged" for s in r.statuses)
             assert r.success_ratio == r.converged / r.trials
-
-    def test_threaded_matches_serial(self, scene, base_cfg):
-        spec = BatchSpec(bands_cm=((0.0, 1.0),), rotation_bounds_deg=(2, 2, 2), trials=4)
-        serial = run_batch_suite(spec, scene, base_cfg, seed=5, threads=1)
-        threaded = run_batch_suite(spec, scene, base_cfg, seed=5, threads=4)
-        assert serial == threaded
 
     def test_clutter_flag_strips_clutter(self, scene, base_cfg):
         spec = BatchSpec(bands_cm=((0.0, 1.0),), rotation_bounds_deg=(2, 2, 2), trials=2,
@@ -263,10 +258,41 @@ class TestCli:
             assert (out / name).exists()
         assert "status=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "payload, command",
+        [
+            ({"control": {"gain": -1}}, "run"),
+            ({"servo": {"max_cycles": "ten"}}, "run"),
+            ({"batch": {"trials": 2.5}}, "batch"),
+        ],
+    )
+    def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_profiles_are_projections_of_trace(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+
+        def rows(name):
+            with open(out / name) as f:
+                return list(csv.DictReader(line for line in f if not line.startswith("#")))
+
+        trace = rows("trace.csv")
+        twist, errors = rows("twist_profile.csv"), rows("error_profile.csv")
+        assert len(trace) == len(twist) == len(errors) > 0
+        trace_name = {"correspondence_count": "n_correspondences"}
+        for t, tw, er in zip(trace, twist, errors):
+            assert tw == {k: t[k] for k in tw}
+            assert er == {k: t[trace_name.get(k, k)] for k in er}
+
     def test_batch_writes_table(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["batch", "--config", tiny_config, "--out", str(out),
-                     "--threads", "2"]) == 0
+        assert main(["batch", "--config", tiny_config, "--out", str(out)]) == 0
         assert (out / "batch.csv").exists()
         assert "band 0-1 cm" in capsys.readouterr().out
 

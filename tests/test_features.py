@@ -2,15 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from featservo.errors import DetectorUnavailable, ParseError, SchemaVersionMismatch
+from featservo.errors import ParseError, SchemaVersionMismatch
 from featservo.features import (
     FeatureSet,
-    FileDetector,
-    SyntheticDetector,
     SyntheticDetectorConfig,
-    features_from_string,
-    features_to_string,
     landmark_scores,
     read_features,
     synthetic_detect,
@@ -19,6 +18,16 @@ from featservo.features import (
 )
 from featservo.geometry import Pose, project
 from featservo.simulate import Scene, make_box_scene
+
+
+def to_text(fs):
+    buf = io.StringIO()
+    write_features(fs, buf)
+    return buf.getvalue()
+
+
+def from_text(text):
+    return read_features(io.StringIO(text))
 
 
 def unit_descriptors(n, d=16, seed=0):
@@ -68,11 +77,20 @@ class TestFeatureSet:
         with pytest.raises(ValueError, match="scores"):
             FeatureSet([[10.0, 10.0]], unit_descriptors(1), [1.5], (320, 240))
 
-    def test_keypoint_accessor(self):
-        fs = make_set(3)
-        kp = fs.keypoint(1)
-        assert np.array_equal(kp.pixel, fs.pixels[1])
-        assert kp.landmark_id is None
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["pixels", "scores", "depths", "descriptors"])
+    def test_rejects_non_finite(self, field, bad):
+        args = {
+            "pixels": [[10.0, 10.0]],
+            "descriptors": unit_descriptors(1),
+            "scores": [0.5],
+            "depths": [1.0],
+        }
+        value = np.array(args[field], dtype=float)
+        value.flat[0] = bad
+        args[field] = value
+        with pytest.raises(ValueError):
+            FeatureSet(image_size=(320, 240), **args)
 
     def test_subset(self):
         fs = make_set(5, with_depths=True)
@@ -134,15 +152,16 @@ class TestSyntheticDetect:
         fs = synthetic_detect(scene, camera, intrinsics, SyntheticDetectorConfig())
         assert np.all(np.diff(fs.scores) <= 0)
 
-    def test_stateful_detector_owns_noise_stream(self, intrinsics):
+    def test_shared_generator_advances_noise_stream(self, intrinsics):
         scene = make_box_scene(seed=8)
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
         cfg = SyntheticDetectorConfig(pixel_noise_sigma=0.5, seed=2)
-        det = SyntheticDetector(scene, intrinsics, cfg)
-        a, b = det.detect(camera), det.detect(camera)
+        rng = np.random.default_rng(cfg.seed)
+        a = synthetic_detect(scene, camera, intrinsics, cfg, rng)
+        b = synthetic_detect(scene, camera, intrinsics, cfg, rng)
         assert not np.array_equal(a.pixels, b.pixels)  # stream advances
-        det2 = SyntheticDetector(scene, intrinsics, cfg)
-        assert np.array_equal(det2.detect(camera).pixels, a.pixels)
+        fresh = synthetic_detect(scene, camera, intrinsics, cfg, np.random.default_rng(cfg.seed))
+        assert np.array_equal(fresh.pixels, a.pixels)
 
 
 class TestTopK:
@@ -171,7 +190,7 @@ class TestTopK:
 class TestFeatureFile:
     def test_round_trip_bit_for_bit(self):
         fs = make_set(7, seed=11, with_depths=True)
-        out = features_from_string(features_to_string(fs))
+        out = from_text(to_text(fs))
         assert np.array_equal(out.pixels, fs.pixels)
         assert np.array_equal(out.descriptors, fs.descriptors)
         assert np.array_equal(out.scores, fs.scores)
@@ -180,7 +199,7 @@ class TestFeatureFile:
 
     def test_round_trip_without_depths(self):
         fs = make_set(3, seed=12)
-        out = features_from_string(features_to_string(fs))
+        out = from_text(to_text(fs))
         assert out.depths is None
         assert np.array_equal(out.descriptors, fs.descriptors)
 
@@ -192,52 +211,84 @@ class TestFeatureFile:
         assert np.array_equal(out.pixels, fs.pixels)
 
     def test_truncated_record(self):
-        text = features_to_string(make_set(5, seed=14))
+        text = to_text(make_set(5, seed=14))
         truncated = "\n".join(text.splitlines()[:-2]) + "\n"
         with pytest.raises(ParseError, match="truncated"):
-            features_from_string(truncated)
+            from_text(truncated)
 
     def test_wrong_field_count(self):
-        lines = features_to_string(make_set(2, seed=15)).splitlines()
+        lines = to_text(make_set(2, seed=15)).splitlines()
         lines[1] = lines[1] + " 0.5"
         with pytest.raises(ParseError, match="fields"):
-            features_from_string("\n".join(lines) + "\n")
+            from_text("\n".join(lines) + "\n")
 
     def test_version_mismatch(self):
-        text = features_to_string(make_set(2, seed=16)).replace("featureset v1", "featureset v9")
+        text = to_text(make_set(2, seed=16)).replace("featureset v1", "featureset v9")
         with pytest.raises(SchemaVersionMismatch):
-            features_from_string(text)
+            from_text(text)
 
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
-            features_from_string("not a featureset\n")
+            from_text("not a featureset\n")
 
     def test_empty_file(self):
         with pytest.raises(ParseError):
             read_features(io.StringIO(""))
 
     def test_non_numeric_field(self):
-        lines = features_to_string(make_set(2, seed=17)).splitlines()
+        lines = to_text(make_set(2, seed=17)).splitlines()
         parts = lines[1].split()
         parts[0] = "abc"
         lines[1] = " ".join(parts)
         with pytest.raises(ParseError, match="line 2"):
-            features_from_string("\n".join(lines) + "\n")
+            from_text("\n".join(lines) + "\n")
+
+    def test_nan_record_rejected(self):
+        header = "featureset v1 d=1 width=320 height=240 count=1 depths=1\n"
+        with pytest.raises(ParseError, match="bounds"):
+            from_text(header + "nan 5 nan nan 1\n")
 
 
-class TestFileDetector:
-    def test_replays_then_exhausts(self, tmp_path):
-        paths = []
-        for i in range(2):
-            fs = make_set(3, seed=20 + i)
-            p = tmp_path / f"f{i}.txt"
-            write_features(fs, p)
-            paths.append(p)
-        det = FileDetector(paths)
-        assert len(det.detect()) == 3
-        assert len(det.detect()) == 3
-        with pytest.raises(DetectorUnavailable):
-            det.detect()
+def _finite(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def feature_sets(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    w, h = draw(st.integers(1, 4000)), draw(st.integers(1, 4000))
+    pixels = np.stack(
+        [
+            draw(arrays(float, n, elements=_finite(0.0, w, exclude_max=True))),
+            draw(arrays(float, n, elements=_finite(0.0, h, exclude_max=True))),
+        ],
+        axis=1,
+    )
+    raw = draw(arrays(float, (n, d), elements=_finite(-1e3, 1e3)))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    raw[norms[:, 0] < 1e-3, 0] = 1.0  # keep every row normalisable
+    descriptors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    scores = draw(arrays(float, n, elements=_finite(0.0, 1.0)))
+    depths = None
+    if draw(st.booleans()):
+        depths = draw(arrays(float, n, elements=_finite(0.0, 1e300, exclude_min=True)))
+    return FeatureSet(pixels, descriptors, scores, (w, h), depths=depths)
+
+
+class TestFeatureFileProperty:
+    @given(feature_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_bit_exact(self, fs):
+        out = from_text(to_text(fs))
+        assert out.image_size == fs.image_size
+        for name in ("pixels", "descriptors", "scores"):
+            a, b = getattr(out, name), getattr(fs, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        if fs.depths is None:
+            assert out.depths is None
+        else:
+            assert out.depths.tobytes() == fs.depths.tobytes()
 
 
 class TestDescriptorSeparation:

@@ -113,13 +113,6 @@ class TestMatchNN:
         C = match_nn(cur, tgt)
         assert len(np.unique(C.target_indices)) == len(C)
 
-    def test_non_mutual_mode_keeps_every_current(self):
-        cur = feature_set(np.random.default_rng(8).uniform(0, 200, (10, 2)),
-                          unit_descriptors(10, seed=9))
-        tgt = feature_set(np.random.default_rng(10).uniform(0, 200, (4, 2)),
-                          unit_descriptors(4, seed=11))
-        assert len(match_nn(cur, tgt, mutual=False)) == 10
-
 
 class TestHomography:
     def test_recovers_known_model(self):

@@ -13,7 +13,6 @@ from featservo.simulate import (
     make_planar_scene,
     render_target,
     run_servo,
-    servo_step,
     write_trace_csv,
     write_trace_summary,
 )
@@ -98,15 +97,15 @@ class TestServoStep:
     def test_fixed_point_at_target(self, clean_scene, target_pose):
         cfg = ServoRunConfig(target_pose=target_pose, initial_pose=target_pose)
         loop = ServoLoop(clean_scene, cfg)
-        rec = servo_step(loop)
+        rec = loop.step()
         assert rec.mean_error == 0.0
         assert np.allclose(rec.twist, 0.0, atol=1e-12)
 
     def test_error_decreases_on_first_cycle(self, clean_scene, target_pose):
         cfg = offset_config(target_pose, [0.01, 0, 0, 0, 0, 0])
         loop = ServoLoop(clean_scene, cfg)
-        first = servo_step(loop)
-        second = servo_step(loop)
+        first = loop.step()
+        second = loop.step()
         assert second.mean_error < first.mean_error
 
     def test_full_dropout_reports_starvation(self, clean_scene, target_pose):
@@ -116,7 +115,7 @@ class TestServoStep:
             detector=SyntheticDetectorConfig(detection_dropout=1.0),
         )
         loop = ServoLoop(clean_scene, cfg)
-        rec = servo_step(loop)
+        rec = loop.step()
         assert rec.event == "insufficient_features"
         assert np.all(rec.twist == 0)
 
