@@ -51,16 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _prepare(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = load_config(args.config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
 
 
 def _cmd_check(args) -> int:
-    load_config(args.config)
+    load_config(args.config, seed=args.seed)
     print(f"{args.config}: OK")
     return 0
 

@@ -61,6 +61,8 @@ def sample_offset_pose(
 ) -> Pose:
     """Random perturbation: direction uniform on the sphere, magnitude uniform
     in the band, per-axis rotation angles uniform within their bounds."""
+    if len(rotation_bounds_deg) != 3:
+        raise ValueError("rotation bounds need one angle per axis")
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction) + 1e-300
     magnitude = rng.uniform(*translation_band_m)
@@ -351,8 +353,11 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
     return out
 
 
-def load_config(path) -> dict:
-    """Parse and validate the experiment config; unknown keys are errors."""
+def load_config(path, seed: int | None = None) -> dict:
+    """Parse and validate the experiment config; unknown keys are errors.
+
+    `seed`, when given, replaces the config seed before validation.
+    """
     with open(path) as f:
         try:
             user = json.load(f)
@@ -363,15 +368,52 @@ def load_config(path) -> dict:
     if user.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {user.get('schema')!r}")
     cfg = _merge_strict(_DEFAULT_CONFIG, user)
+    if seed is not None:
+        cfg["seed"] = seed
     if cfg["batch"]["clutter"] not in (True, False, "both"):
         raise ConfigError("batch.clutter must be true, false, or \"both\"")
-    # build what run and batch build, so check rejects what they would
+    _check_scene_and_grid(cfg)
+    # build what run, accuracy and batch build, so check rejects what they would
     try:
         build_run_config(cfg)
         batch_specs(cfg)
+        default_goal_poses(cfg["run"]["camera_distance"], cfg["accuracy"]["goals"])
+        default_start_offsets(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     return cfg
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_scene_and_grid(cfg: dict) -> None:
+    """The scene table and the accuracy grid's counts, checked without
+    building the scenes."""
+    for table, key, low in (
+        ("scene", "n_object", 0),
+        ("scene", "n_clutter", 0),
+        ("scene", "descriptor_dim", 1),
+        ("accuracy", "starts", 1),
+        ("accuracy", "scenes", 1),
+    ):
+        value = cfg[table][key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"{table}.{key} must be an integer >= {low}")
+    sc = cfg["scene"]
+    if not (_is_number(sc["box_size"]) and sc["box_size"] > 0):
+        raise ConfigError("scene.box_size must be a positive number")
+    shell = sc["clutter_shell"]
+    if not (
+        isinstance(shell, list)
+        and len(shell) == 2
+        and all(map(_is_number, shell))
+        and 0 <= shell[0] <= shell[1]
+    ):
+        raise ConfigError("scene.clutter_shell must be [inner, outer] with 0 <= inner <= outer")
+    if sc["view_cone_deg"] is not None and not _is_number(sc["view_cone_deg"]):
+        raise ConfigError("scene.view_cone_deg must be a number or null")
 
 
 def batch_specs(cfg: dict) -> list[BatchSpec]:
@@ -451,13 +493,15 @@ def build_run_config(cfg: dict) -> ServoRunConfig:
 
 def default_goal_poses(camera_distance: float, count: int = 2) -> list[Pose]:
     """Goal cameras aimed at the object: straight-on, then slightly tilted."""
-    goals = [Pose(np.eye(3), (0.0, 0.0, -camera_distance))]
     tilts = [(8.0, 0.05), (-6.0, -0.04)]
-    for deg, lateral in tilts[: max(count - 1, 0)]:
+    if count not in range(1, len(tilts) + 2):
+        raise ValueError(f"goals must be an integer from 1 to {len(tilts) + 1}")
+    goals = [Pose(np.eye(3), (0.0, 0.0, -camera_distance))]
+    for deg, lateral in tilts[: count - 1]:
         d = camera_distance * 0.95
         pos = np.array([lateral, 0.0, -np.sqrt(max(d * d - lateral * lateral, 1e-6))])
         goals.append(camera_pose_looking_at(pos, (0.0, 0.0, 0.0)))
-    return goals[:count]
+    return goals
 
 
 def default_start_offsets(cfg: dict) -> list[Pose]:

@@ -13,6 +13,7 @@ from .errors import EmptySet, TooFewCorrespondences, TrackingLost
 from .features import FeatureSet
 
 MIN_TRACKED_INLIERS = 3
+CHUNK = 8  # RANSAC hypotheses drawn, fitted and scored per batch
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,8 @@ class RansacConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
+        if not isinstance(self.min_sample, int) or self.min_sample < 4:
+            raise ValueError("min_sample must be an integer >= 4")
 
 
 @dataclass(frozen=True)
@@ -123,75 +126,121 @@ def match_nn(current: FeatureSet, target: FeatureSet) -> CorrespondenceSet:
 
 
 def _normalize_points(pts: np.ndarray):
-    """Hartley normalization: zero centroid, mean distance sqrt(2)."""
-    c = pts.mean(axis=0)
-    scale = np.sqrt(2.0) / (np.mean(np.linalg.norm(pts - c, axis=1)) + 1e-12)
-    T = np.array([[scale, 0.0, -scale * c[0]], [0.0, scale, -scale * c[1]], [0.0, 0.0, 1.0]])
-    return (pts - c) * scale, T
+    """Hartley normalization of (..., n, 2) point sets: zero centroid, mean
+    distance sqrt(2); returns the normalized points and the (..., 3, 3) T."""
+    c = pts.mean(axis=-2, keepdims=True)
+    scale = np.sqrt(2.0) / (np.mean(np.linalg.norm(pts - c, axis=-1), axis=-1) + 1e-12)
+    T = np.zeros(scale.shape + (3, 3))
+    T[..., 0, 0] = T[..., 1, 1] = scale
+    T[..., 0, 2] = -scale * c[..., 0, 0]
+    T[..., 1, 2] = -scale * c[..., 0, 1]
+    T[..., 2, 2] = 1.0
+    return (pts - c) * scale[..., None, None], T
+
+
+def _dlt(src: np.ndarray, dst: np.ndarray):
+    """Normalized DLT over a stack of (..., n, 2) correspondence sets.
+
+    Returns the (..., 3, 3) models scaled to H[2, 2] = 1 and a mask of the
+    non-degenerate ones. At n = 4 the 8x9 system needs the full SVD for its
+    null vector; above that the thin SVD has the same last row of Vt.
+    """
+    n = src.shape[-2]
+    sn, Ts = _normalize_points(src)
+    dn, Td = _normalize_points(dst)
+    A = np.zeros(src.shape[:-2] + (2 * n, 9))
+    x, y = sn[..., 0], sn[..., 1]
+    u, v = dn[..., 0], dn[..., 1]
+    A[..., 0::2, 0] = x
+    A[..., 0::2, 1] = y
+    A[..., 0::2, 2] = 1.0
+    A[..., 0::2, 6] = -u * x
+    A[..., 0::2, 7] = -u * y
+    A[..., 0::2, 8] = -u
+    A[..., 1::2, 3] = x
+    A[..., 1::2, 4] = y
+    A[..., 1::2, 5] = 1.0
+    A[..., 1::2, 6] = -v * x
+    A[..., 1::2, 7] = -v * y
+    A[..., 1::2, 8] = -v
+    _, sigma, Vt = np.linalg.svd(A, full_matrices=n == 4)
+    bad = np.zeros(src.shape[:-2], dtype=bool)
+    if n == 4:  # rank-deficient sample (collinear points)
+        bad = sigma[..., -2] < 1e-8 * np.maximum(sigma[..., 0], 1.0)
+    Hn = Vt[..., -1, :].reshape(src.shape[:-2] + (3, 3))
+    H = np.linalg.inv(Td) @ Hn @ Ts
+    bad |= np.abs(H[..., 2, 2]) < 1e-12
+    return H / np.where(bad, 1.0, H[..., 2, 2])[..., None, None], ~bad
 
 
 def fit_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     """Direct linear transform on normalized coordinates; None if degenerate."""
-    n = src.shape[0]
-    if n < 4:
+    if src.shape[0] < 4:
         return None
-    sn, Ts = _normalize_points(src)
-    dn, Td = _normalize_points(dst)
-    A = np.zeros((2 * n, 9))
-    x, y = sn[:, 0], sn[:, 1]
-    u, v = dn[:, 0], dn[:, 1]
-    A[0::2, 0] = x
-    A[0::2, 1] = y
-    A[0::2, 2] = 1.0
-    A[0::2, 6] = -u * x
-    A[0::2, 7] = -u * y
-    A[0::2, 8] = -u
-    A[1::2, 3] = x
-    A[1::2, 4] = y
-    A[1::2, 5] = 1.0
-    A[1::2, 6] = -v * x
-    A[1::2, 7] = -v * y
-    A[1::2, 8] = -v
-    _, sigma, Vt = np.linalg.svd(A)
-    if n == 4 and sigma[-2] < 1e-8 * max(sigma[0], 1.0):
-        return None  # rank-deficient sample (collinear points)
-    Hn = Vt[-1].reshape(3, 3)
-    H = np.linalg.inv(Td) @ Hn @ Ts
-    if abs(H[2, 2]) < 1e-12:
-        return None
-    return H / H[2, 2]
+    H, ok = _dlt(src, dst)
+    return H if ok else None
 
 
 def _apply_homography(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    q = pts @ H[:, :2].T + H[:, 2]
-    w = q[:, 2]
+    q = pts @ H[..., :2].swapaxes(-1, -2) + H[..., None, :, 2]
+    w = q[..., 2]
     bad = np.abs(w) < 1e-12
     w = np.where(bad, 1e-12, w)
-    out = q[:, :2] / w[:, None]
+    out = q[..., :2] / w[..., None]
     out[bad] = np.inf
     return out
 
 
-def symmetric_transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Per-pair symmetric transfer error in pixels."""
+def _transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Symmetric transfer error of every pair under each of a stack of
+    (..., 3, 3) models; a singular model scores inf on every pair."""
     try:
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError:
-        return np.full(src.shape[0], np.inf)
+        if H.ndim == 2:
+            return np.full(src.shape[0], np.inf)
+        # one singular model fails the stacked inverse; score them one by one
+        return np.stack([_transfer_error(h, src, dst) for h in H])
     fwd = _apply_homography(H, src) - dst
     bwd = _apply_homography(Hinv, dst) - src
-    return np.sqrt(np.sum(fwd**2, axis=1) + np.sum(bwd**2, axis=1))
+    return np.sqrt(np.sum(fwd**2, axis=-1) + np.sum(bwd**2, axis=-1))
 
 
-def _degenerate_sample(pts: np.ndarray) -> bool:
-    """True if any 3 of the 4 sample points are (near-)collinear."""
-    for skip in range(4):
-        tri = np.delete(pts, skip, axis=0)
-        a, b = tri[1] - tri[0], tri[2] - tri[0]
-        area = 0.5 * abs(a[0] * b[1] - a[1] * b[0])
-        if area < 1e-6:
-            return True
-    return False
+def symmetric_transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per-pair symmetric transfer error in pixels."""
+    return _transfer_error(H, src, dst)
+
+
+# the four 3-point subsets of a sample's first four points
+_TRIANGLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _collinear(pts: np.ndarray) -> np.ndarray:
+    """Per sample of a (k, m, 2) stack: True if any 3 of its first 4 points
+    are (near-)collinear."""
+    tri = pts[:, _TRIANGLES]
+    a = tri[..., 1, :] - tri[..., 0, :]
+    b = tri[..., 2, :] - tri[..., 0, :]
+    area = 0.5 * np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    return np.any(area < 1e-6, axis=-1)
+
+
+def _score_samples(src, dst, samples, threshold):
+    """Fit and score one chunk of (k, m) samples at once.
+
+    Returns the (k, 3, 3) models and (k, n) inlier masks; a collinear or
+    degenerate sample keeps an all-False mask.
+    """
+    models = np.zeros((len(samples), 3, 3))
+    masks = np.zeros((len(samples), len(src)), dtype=bool)
+    s, d = src[samples], dst[samples]
+    fit = np.flatnonzero(~(_collinear(s) | _collinear(d)))
+    H, ok = _dlt(s[fit], d[fit])
+    fit, H = fit[ok], H[ok]
+    if fit.size:
+        models[fit] = H
+        masks[fit] = _transfer_error(H, src, dst) <= threshold
+    return models, masks
 
 
 def ransac_inliers(
@@ -203,6 +252,11 @@ def ransac_inliers(
     winning model is refit on its inliers and the set re-thresholded so
     every returned pair satisfies the threshold under the returned model.
     Bit-reproducible for a fixed (input, seed) when no generator is given.
+
+    Hypotheses are drawn, fitted and scored CHUNK at a time, then accepted
+    in draw order exactly as one at a time; when the stopping bound falls
+    inside a chunk, the generator is rewound so it ends where a serial loop
+    would leave it.
     """
     n = len(C)
     if n < cfg.min_sample:
@@ -216,25 +270,33 @@ def ransac_inliers(
     best_model = None
     needed = cfg.max_iterations
     it = 0
-    while it < min(needed, cfg.max_iterations):
-        it += 1
-        sample = rng.choice(n, size=cfg.min_sample, replace=False)
-        if _degenerate_sample(src[sample]) or _degenerate_sample(dst[sample]):
-            continue
-        H = fit_homography(src[sample], dst[sample])
-        if H is None:
-            continue
-        mask = symmetric_transfer_error(H, src, dst) <= cfg.inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            best_model = H
-            w = count / n
-            if w >= 1.0:
+    done = False
+    while not done:
+        state = rng.bit_generator.state
+        k = min(CHUNK, min(needed, cfg.max_iterations) - it)
+        samples = np.array(
+            [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(k)]
+        )
+        models, masks = _score_samples(src, dst, samples, cfg.inlier_threshold)
+        for j, count in enumerate(masks.sum(axis=1).tolist()):
+            it += 1
+            if count > best_count:
+                best_count = count
+                best_mask = masks[j]
+                best_model = models[j]
+                w = count / n
+                if w >= 1.0:
+                    done = True
+                else:
+                    denom = np.log1p(-min(w**cfg.min_sample, 1 - 1e-12))
+                    needed = int(np.ceil(np.log1p(-cfg.confidence) / denom))
+            done = done or it >= min(needed, cfg.max_iterations)
+            if done:
+                if j + 1 < k:  # leave the generator after draw j, not draw k
+                    rng.bit_generator.state = state
+                    for _ in range(j + 1):
+                        rng.choice(n, size=cfg.min_sample, replace=False)
                 break
-            denom = np.log1p(-min(w**cfg.min_sample, 1 - 1e-12))
-            needed = int(np.ceil(np.log1p(-cfg.confidence) / denom))
 
     if best_mask is None or best_count < cfg.min_sample:
         raise TooFewCorrespondences("no non-degenerate consensus found")

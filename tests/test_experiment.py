@@ -264,6 +264,12 @@ class TestCli:
             ({"control": {"gain": -1}}, "run"),
             ({"servo": {"max_cycles": "ten"}}, "run"),
             ({"batch": {"trials": 2.5}}, "batch"),
+            ({"scene": {"n_object": "ten"}}, "run"),
+            ({"scene": {"clutter_shell": [0.3]}}, "batch"),
+            ({"accuracy": {"starts": 2.5}}, "accuracy"),
+            ({"accuracy": {"goals": 5}}, "accuracy"),
+            ({"accuracy": {"rotation_deg": [6.0, 6.0]}}, "accuracy"),
+            ({"ransac": {"min_sample": 3}}, "run"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):
@@ -273,6 +279,13 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "run", "accuracy", "batch"])
+    def test_negative_seed_override_rejected(self, command, tiny_config, tmp_path, capsys):
+        argv = [command, "--config", tiny_config, "--seed", "-1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_profiles_are_projections_of_trace(self, tiny_config, tmp_path):
         out = tmp_path / "out"

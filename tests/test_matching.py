@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from featservo.errors import EmptySet, TooFewCorrespondences, TrackingLost
 from featservo.features import FeatureSet
 from featservo.matching import (
+    CHUNK,
     CorrespondenceSet,
     InlierSet,
     RansacConfig,
     TrackingState,
+    _transfer_error,
     fit_homography,
     match_nn,
     mean_correspondence_error,
@@ -114,6 +116,167 @@ class TestMatchNN:
         assert len(np.unique(C.target_indices)) == len(C)
 
 
+def full_svd_fit(src, dst):
+    """Reference DLT: Hartley normalization and a full SVD of A, one model."""
+    def normalize(pts):
+        c = pts.mean(axis=0)
+        scale = np.sqrt(2.0) / (np.mean(np.linalg.norm(pts - c, axis=1)) + 1e-12)
+        T = np.array([[scale, 0.0, -scale * c[0]], [0.0, scale, -scale * c[1]], [0.0, 0.0, 1.0]])
+        return (pts - c) * scale, T
+
+    n = src.shape[0]
+    sn, Ts = normalize(src)
+    dn, Td = normalize(dst)
+    A = np.zeros((2 * n, 9))
+    x, y = sn[:, 0], sn[:, 1]
+    u, v = dn[:, 0], dn[:, 1]
+    A[0::2, 0], A[0::2, 1], A[0::2, 2] = x, y, 1.0
+    A[0::2, 6], A[0::2, 7], A[0::2, 8] = -u * x, -u * y, -u
+    A[1::2, 3], A[1::2, 4], A[1::2, 5] = x, y, 1.0
+    A[1::2, 6], A[1::2, 7], A[1::2, 8] = -v * x, -v * y, -v
+    _, sigma, Vt = np.linalg.svd(A)
+    if n == 4 and sigma[-2] < 1e-8 * max(sigma[0], 1.0):
+        return None
+    H = np.linalg.inv(Td) @ Vt[-1].reshape(3, 3) @ Ts
+    if abs(H[2, 2]) < 1e-12:
+        return None
+    return H / H[2, 2]
+
+
+def degenerate_sample(pts):
+    """True if any 3 of the 4 sample points are (near-)collinear."""
+    for skip in range(4):
+        tri = np.delete(pts, skip, axis=0)
+        a, b = tri[1] - tri[0], tri[2] - tri[0]
+        if 0.5 * abs(a[0] * b[1] - a[1] * b[0]) < 1e-6:
+            return True
+    return False
+
+
+def serial_ransac(C, cfg, rng):
+    """Reference RANSAC: one hypothesis at a time, each fitted and scored alone."""
+    n = len(C)
+    if n < cfg.min_sample:
+        raise TooFewCorrespondences("too few pairs")
+    src, dst = C.current_pixels, C.target_pixels
+    best_count, best_mask, best_model = 0, None, None
+    needed = cfg.max_iterations
+    it = 0
+    while it < min(needed, cfg.max_iterations):
+        it += 1
+        sample = rng.choice(n, size=cfg.min_sample, replace=False)
+        if degenerate_sample(src[sample]) or degenerate_sample(dst[sample]):
+            continue
+        H = full_svd_fit(src[sample], dst[sample])
+        if H is None:
+            continue
+        mask = symmetric_transfer_error(H, src, dst) <= cfg.inlier_threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask, best_model = count, mask, H
+            w = count / n
+            if w >= 1.0:
+                break
+            denom = np.log1p(-min(w**cfg.min_sample, 1 - 1e-12))
+            needed = int(np.ceil(np.log1p(-cfg.confidence) / denom))
+    if best_mask is None or best_count < cfg.min_sample:
+        raise TooFewCorrespondences("no non-degenerate consensus found")
+    refit = full_svd_fit(src[best_mask], dst[best_mask])
+    if refit is not None:
+        refined = symmetric_transfer_error(refit, src, dst) <= cfg.inlier_threshold
+        if refined.sum() >= cfg.min_sample:
+            best_mask, best_model = refined, refit
+    return np.flatnonzero(best_mask), best_model
+
+
+def noisy_pairs(seed, n, outlier_frac=0.0, noise=0.3):
+    rng = np.random.default_rng(seed)
+    src = rng.uniform(20, 300, (n, 2))
+    dst = apply_h(known_homography(), src) + rng.normal(0, noise, (n, 2))
+    bad = rng.random(n) < outlier_frac
+    dst[bad] = rng.uniform(0, 320, (int(bad.sum()), 2))
+    return pair_set(src, dst)
+
+
+def collinear_heavy_pairs(seed, n):
+    """Half the points on one line, so many samples are degenerate."""
+    rng = np.random.default_rng(seed)
+    src = rng.uniform(20, 300, (n, 2))
+    t = rng.uniform(0, 1, n // 2)
+    src[: n // 2] = np.c_[20 + 260 * t, 40 + 150 * t]
+    return pair_set(src, apply_h(known_homography(), src) + rng.normal(0, 0.3, (n, 2)))
+
+
+class TestChunkedRansacMatchesSerial:
+    """Chunked hypotheses give the serial loop's result bit for bit and leave
+    a shared generator exactly where the serial loop leaves it."""
+
+    CASES = {
+        "outliers": (lambda s: noisy_pairs(s, 60, outlier_frac=0.4), {}),
+        "heavy_outliers": (lambda s: noisy_pairs(s, 24, outlier_frac=0.5), {}),
+        "collinear_samples": (lambda s: collinear_heavy_pairs(s, 24), {}),
+        "all_inliers_exit": (lambda s: noisy_pairs(s, 30, noise=0.0), {}),
+        "iteration_cap_50": (lambda s: noisy_pairs(s, 60, outlier_frac=0.8), {"max_iterations": 50}),
+        "cap_inside_a_chunk": (lambda s: noisy_pairs(s, 40, outlier_frac=0.8), {"max_iterations": 11}),
+        "min_sample_5": (lambda s: noisy_pairs(s, 40, outlier_frac=0.3), {"min_sample": 5}),
+    }
+
+    @staticmethod
+    def run_both(C, cfg, seed):
+        """(result, generator state) of the serial reference, then of ransac_inliers."""
+        def chunked(C, cfg, rng):
+            R = ransac_inliers(C, cfg, rng=rng)
+            return R.indices, R.model
+
+        outcomes = []
+        for ransac in (serial_ransac, chunked):
+            rng = np.random.default_rng([seed, 0x5C])
+            try:
+                result = ransac(C, cfg, rng)
+            except TooFewCorrespondences:
+                result = None
+            outcomes.append((result, rng.bit_generator.state))
+        return outcomes
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_inliers_model_and_generator_state(self, case):
+        make, overrides = self.CASES[case]
+        for seed in range(12):
+            C = make(seed)
+            cfg = RansacConfig(seed=seed, **overrides)
+            (ref, ref_state), (got, got_state) = self.run_both(C, cfg, seed)
+            assert got_state == ref_state
+            if ref is None:
+                assert got is None
+                continue
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1])
+
+    def test_too_few_pairs_draws_nothing(self):
+        C = noisy_pairs(0, 3)
+        (ref, ref_state), (got, got_state) = self.run_both(C, RansacConfig(), 0)
+        assert ref is None and got is None
+        assert got_state == ref_state == np.random.default_rng([0, 0x5C]).bit_generator.state
+
+    def test_no_consensus_raises_after_the_same_draws(self):
+        src = np.c_[np.linspace(0, 300, 20), np.linspace(10, 200, 20)]  # one line
+        C = pair_set(src, src + 3.0)
+        cfg = RansacConfig(max_iterations=50)
+        (ref, ref_state), (got, got_state) = self.run_both(C, cfg, 1)
+        assert ref is None and got is None
+        assert got_state == ref_state
+
+    def test_early_exit_leaves_generator_after_one_draw(self):
+        # all inliers: the first hypothesis ends the loop, inside the first chunk
+        assert CHUNK > 1
+        C = noisy_pairs(0, 30, noise=0.0)
+        rng = np.random.default_rng(0)
+        ransac_inliers(C, RansacConfig(), rng=rng)
+        one_draw = np.random.default_rng(0)
+        one_draw.choice(30, size=4, replace=False)
+        assert rng.bit_generator.state == one_draw.bit_generator.state
+
+
 class TestHomography:
     def test_recovers_known_model(self):
         H = known_homography()
@@ -124,6 +287,23 @@ class TestHomography:
     def test_collinear_sample_rejected(self):
         src = np.array([[0.0, 0.0], [10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
         assert fit_homography(src, src + 1.0) is None
+        off_origin = np.array([[0.0, 5.0], [10.0, 8.0], [20.0, 11.0], [30.0, 14.0]])
+        assert fit_homography(off_origin, np.random.default_rng(0).uniform(0, 300, (4, 2))) is None
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 40, 320])
+    def test_thin_svd_fit_matches_full_svd_dlt(self, n):
+        rng = np.random.default_rng(n)
+        src = rng.uniform(0, 320, (n, 2))
+        dst = apply_h(known_homography(), src) + rng.normal(0, 0.5, (n, 2))
+        np.testing.assert_allclose(fit_homography(src, dst), full_svd_fit(src, dst), rtol=1e-12)
+
+    def test_singular_model_in_a_stack_scores_inf(self):
+        H = known_homography()
+        src = np.random.default_rng(19).uniform(20, 300, (8, 2))
+        dst = apply_h(H, src)
+        err = _transfer_error(np.stack([H, np.zeros((3, 3))]), src, dst)
+        assert np.array_equal(err[0], symmetric_transfer_error(H, src, dst))
+        assert np.all(np.isinf(err[1]))
 
     def test_symmetric_transfer_error_zero_on_exact(self):
         H = known_homography()
@@ -183,7 +363,27 @@ class TestRansac:
         assert np.array_equal(a.indices, b.indices)
         assert a.model.tobytes() == b.model.tobytes()
 
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(4, 40),
+        outlier_frac=st.floats(0.0, 0.7),
+        threshold=st.sampled_from([0.5, 2.0, 5.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_returned_pair_meets_threshold(self, seed, n, outlier_frac, threshold):
+        C = noisy_pairs(seed, n, outlier_frac=outlier_frac, noise=0.5)
+        cfg = RansacConfig(inlier_threshold=threshold, max_iterations=200, seed=seed)
+        try:
+            R = ransac_inliers(C, cfg)
+        except TooFewCorrespondences:
+            return
+        assert len(R) >= cfg.min_sample
+        resid = symmetric_transfer_error(R.model, R.current_pixels, R.target_pixels)
+        assert np.all(resid <= cfg.inlier_threshold)
+
     def test_config_validation(self):
+        with pytest.raises(ValueError):
+            RansacConfig(min_sample=3)
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=0.0)
         with pytest.raises(ValueError):

@@ -1,0 +1,82 @@
+"""Write featservo's deterministic outputs and print their sha256 digests.
+
+    python3 tools/output_digests.py --out DIR [--src SRC]
+
+For each of the seeds 0, 1 and 2 this writes, under DIR/seed<s>/:
+  run/       `featservo run` on the default config
+  accuracy/  `featservo accuracy` on config {}
+  batch/     `featservo batch` on two bands, two trials, clutter "both"
+  planar/    trace.csv of `run_servo` on a 400-landmark planar scene with
+             the default run config at top_k 320
+and prints one `<sha256>  <path relative to DIR>` line per output file.
+SRC is the source directory to import featservo from (default: this
+checkout's src/). To check that a change keeps every output byte for byte:
+
+    python3 tools/output_digests.py --src OLD/src --out /tmp/old > old.sha256
+    python3 tools/output_digests.py --out /tmp/new
+    (cd /tmp/new && sha256sum -c /abs/path/old.sha256)
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+SEEDS = (0, 1, 2)
+CONFIGS = {
+    "run": {},
+    "accuracy": {},
+    "batch": {"batch": {"bands_cm": [[0, 1], [4, 8]], "trials": 2, "clutter": "both"}},
+}
+
+
+def produce(out: Path) -> None:
+    from featservo import cli, experiment, simulate
+
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = {}
+        for command, config in CONFIGS.items():
+            configs[command] = Path(tmp) / f"{command}.json"
+            configs[command].write_text(json.dumps(config))
+        for seed in SEEDS:
+            root = out / f"seed{seed}"
+            for command, path in configs.items():
+                argv = [command, "--config", str(path), "--seed", str(seed),
+                        "--out", str(root / command)]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli.main(argv) != 0:
+                        raise SystemExit(f"featservo {' '.join(argv)} failed")
+            cfg = experiment.load_config(configs["run"])
+            run_cfg = experiment.build_run_config({**cfg, "seed": seed})
+            scene = simulate.make_planar_scene(seed, n_object=400)
+            trace = simulate.run_servo(scene, replace(run_cfg, top_k=320))
+            (root / "planar").mkdir()
+            simulate.write_trace_csv(trace, root / "planar" / "trace.csv")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="new or empty directory for the outputs")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="source directory holding the featservo package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    out = Path(args.out)
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    produce(out)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
