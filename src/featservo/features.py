@@ -26,7 +26,9 @@ class FeatureSet:
     simulated detections.
     """
 
-    __slots__ = ("pixels", "descriptors", "scores", "image_size", "depths", "landmark_ids")
+    __slots__ = (
+        "pixels", "descriptors", "scores", "image_size", "depths", "landmark_ids", "_sq_norms"
+    )
 
     def __init__(self, pixels, descriptors, scores, image_size, depths=None, landmark_ids=None):
         pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
@@ -44,7 +46,7 @@ class FeatureSet:
                 raise ValueError("keypoint pixel outside image bounds")
             if not np.all((scores >= 0) & (scores <= 1)):
                 raise ValueError("scores must lie in [0, 1]")
-            norms = np.linalg.norm(descriptors, axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", descriptors, descriptors))
             if not np.all(np.abs(norms - 1.0) <= 1e-6):
                 raise ValueError("descriptors must be finite and unit norm")
         if depths is not None:
@@ -57,16 +59,29 @@ class FeatureSet:
             landmark_ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
             if landmark_ids.size != n:
                 raise ValueError("landmark id count != keypoint count")
-        self.pixels = pixels.reshape(n, 2)
         if n == 0:
             d = descriptors.shape[1] if descriptors.ndim == 2 and descriptors.shape[1] else DESCRIPTOR_DIM
             descriptors = np.zeros((0, d))
-        self.descriptors = descriptors.reshape(n, -1) if n else descriptors
+        self._freeze(
+            pixels.reshape(n, 2),
+            descriptors.reshape(n, -1) if n else descriptors,
+            scores,
+            (w, h),
+            depths,
+            landmark_ids,
+            None,
+        )
+
+    def _freeze(self, pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms):
+        """Store already-checked arrays, read-only."""
+        self.pixels = pixels
+        self.descriptors = descriptors
         self.scores = scores
-        self.image_size = (w, h)
+        self.image_size = image_size
         self.depths = depths
         self.landmark_ids = landmark_ids
-        for a in (self.pixels, self.descriptors, self.scores, depths, landmark_ids):
+        self._sq_norms = sq_norms
+        for a in (pixels, descriptors, scores, depths, landmark_ids, sq_norms):
             if a is not None:
                 a.setflags(write=False)
 
@@ -77,16 +92,29 @@ class FeatureSet:
     def descriptor_dim(self) -> int:
         return self.descriptors.shape[1] if len(self) else DESCRIPTOR_DIM
 
+    @property
+    def sq_norms(self) -> np.ndarray:
+        """Squared descriptor norms, computed on first use and kept."""
+        if self._sq_norms is None:
+            self._sq_norms = np.sum(self.descriptors**2, axis=1)
+            self._sq_norms.setflags(write=False)
+        return self._sq_norms
+
     def subset(self, indices) -> "FeatureSet":
-        idx = np.asarray(indices, dtype=np.int64)
-        return FeatureSet(
+        """Rows `indices`, in that order. Rows of a checked set pass the
+        constructor's checks, so they are not checked again."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        out = FeatureSet.__new__(FeatureSet)
+        out._freeze(
             self.pixels[idx],
             self.descriptors[idx],
             self.scores[idx],
             self.image_size,
             None if self.depths is None else self.depths[idx],
             None if self.landmark_ids is None else self.landmark_ids[idx],
+            None if self._sq_norms is None else self._sq_norms[idx],
         )
+        return out
 
     @staticmethod
     def empty(image_size, descriptor_dim=DESCRIPTOR_DIM) -> "FeatureSet":
@@ -152,20 +180,12 @@ def _visible(scene, points: np.ndarray, camera: Pose, intrinsics: CameraIntrinsi
     return pixels, depths, visible
 
 
-def _ranked_features(scene, keep, pixels, descriptors, depths, ids, intrinsics) -> FeatureSet:
-    """Rows `keep` of per-landmark arrays as a FeatureSet, highest
-    confidence first; each row is gathered once, already in order."""
+def _ranked_rows(scene, keep, pixels, ids):
+    """Rows `keep` of per-landmark arrays, highest confidence first, and
+    their scores in that order, so callers gather each row once."""
     scores = landmark_scores(scene.seed, ids[keep])
     rank = _order_by_score(pixels[keep], scores)
-    rows = keep[rank]
-    return FeatureSet(
-        pixels[rows],
-        descriptors[rows],
-        scores[rank],
-        (intrinsics.width, intrinsics.height),
-        depths=depths[rows],
-        landmark_ids=ids[rows],
-    )
+    return keep[rank], scores[rank]
 
 
 def synthetic_detect(
@@ -198,14 +218,29 @@ def synthetic_detect(
     noisy_pixels = pixels[idx]
     if cfg.pixel_noise_sigma > 0:
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
-    desc = descriptors[idx]
+    noise = None
     if cfg.descriptor_noise_sigma > 0:
-        desc = desc + rng.normal(0.0, cfg.descriptor_noise_sigma, size=desc.shape)
-    desc = desc / np.linalg.norm(desc, axis=1, keepdims=True)
+        noise = rng.normal(0.0, cfg.descriptor_noise_sigma, size=(n, descriptors.shape[1]))
 
     # keypoints pushed out of frame by noise are dropped, never clamped
     inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
-    return _ranked_features(scene, inb, noisy_pixels, desc, depths[idx], ids[idx], intrinsics)
+    rows, scores = _ranked_rows(scene, inb, noisy_pixels, ids[idx])
+    landmarks = idx[rows]
+    # noise and normalization act row by row, so each kept row, gathered
+    # once in final order, gets the bytes it would get if every row were
+    # noised and normalized first
+    desc = descriptors[landmarks]
+    if noise is not None:
+        desc += noise[rows]
+    desc /= np.linalg.norm(desc, axis=1, keepdims=True)
+    return FeatureSet(
+        noisy_pixels[rows],
+        desc,
+        scores,
+        (intrinsics.width, intrinsics.height),
+        depths=depths[landmarks],
+        landmark_ids=ids[landmarks],
+    )
 
 
 def top_k(fs: FeatureSet, k: int) -> FeatureSet:

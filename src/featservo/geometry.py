@@ -17,13 +17,23 @@ from .errors import NonPositiveDepth
 
 _MIN_DEPTH = 1e-9
 _SMALL_ANGLE = 1e-8
+_EYE3 = np.eye(3)
+# np.allclose(R.T @ R, I, atol=1e-6) written out: |x - I| <= atol + rtol * |I|
+_ORTHO_TOL = 1e-6 + 1e-5 * _EYE3
+
+
+def _det_negative(R: np.ndarray) -> bool:
+    """Sign test of a 3x3 determinant by cofactor expansion along row 0."""
+    a, b, c, d, e, f, g, h, i = R.ravel().tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0
 
 
 def _as_rotation(R) -> np.ndarray:
     R = np.asarray(R, dtype=float).reshape(3, 3)
-    if not np.allclose(R.T @ R, np.eye(3), atol=1e-6):
+    # written in positive form, so NaN fails it
+    if not np.all(np.abs(R.T @ R - _EYE3) <= _ORTHO_TOL):
         raise ValueError("rotation matrix is not orthonormal")
-    if np.linalg.det(R) < 0:
+    if _det_negative(R):
         raise ValueError("rotation matrix has negative determinant")
     return R
 
@@ -177,7 +187,7 @@ def _reorthonormalize(R: np.ndarray) -> np.ndarray:
     """Project onto SO(3) via SVD; keeps integration drift below 1e-9/step."""
     U, _, Vt = np.linalg.svd(R)
     out = U @ Vt
-    if np.linalg.det(out) < 0:
+    if _det_negative(out):
         out = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
     return out
 

@@ -104,13 +104,12 @@ def match_nn(current: FeatureSet, target: FeatureSet) -> CorrespondenceSet:
     if len(current) == 0 or len(target) == 0:
         return empty
 
-    # squared distances via gemm; argmin picks the lowest index on ties
-    cur, tgt = current.descriptors, target.descriptors
-    d2 = (
-        np.sum(cur**2, axis=1)[:, None]
-        + np.sum(tgt**2, axis=1)[None, :]
-        - 2.0 * (cur @ tgt.T)
-    )
+    # squared distances via gemm, in place: -2G + (|a|^2 + |b|^2) takes the
+    # same rounding steps as (|a|^2 + |b|^2) - 2G; argmin picks the lowest
+    # index on ties
+    d2 = current.descriptors @ target.descriptors.T
+    d2 *= -2.0
+    d2 += current.sq_norms[:, None] + target.sq_norms[None, :]
     np.maximum(d2, 0.0, out=d2)
     nearest_tgt = np.argmin(d2, axis=1)
     nearest_cur = np.argmin(d2, axis=0)
@@ -174,8 +173,12 @@ def _dlt(src: np.ndarray, dst: np.ndarray):
 
 
 def fit_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
-    """Direct linear transform on normalized coordinates; None if degenerate."""
+    """Direct linear transform on normalized coordinates; None if degenerate,
+    which includes a 4-point sample with 3 collinear points on either side
+    (the DLT alone catches only the source side)."""
     if src.shape[0] < 4:
+        return None
+    if src.shape[0] == 4 and (_collinear(src[None]) | _collinear(dst[None]))[0]:
         return None
     H, ok = _dlt(src, dst)
     return H if ok else None

@@ -21,7 +21,7 @@ from .errors import (
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
-    _ranked_features,
+    _ranked_rows,
     _visible,
     synthetic_detect,
     top_k,
@@ -47,7 +47,9 @@ class Scene:
     clutter landmarks visible only in current views.
 
     Canonical descriptors are regenerated deterministically from the seed,
-    so serialization stores only geometry and the seed.
+    so serialization stores only geometry and the seed. Points, descriptors
+    and ids live in one read-only table, object rows first; the per-group
+    attributes are row views of it.
     """
 
     def __init__(
@@ -59,26 +61,35 @@ class Scene:
         max_incidence_deg: float | None = None,
         descriptor_dim: int = 256,
     ):
-        self.object_points = np.asarray(object_points, dtype=float).reshape(-1, 3)
-        self.clutter_points = np.asarray(clutter_points, dtype=float).reshape(-1, 3)
+        obj = np.asarray(object_points, dtype=float).reshape(-1, 3)
+        points = np.vstack([obj, np.asarray(clutter_points, dtype=float).reshape(-1, 3)])
+        n = obj.shape[0]
         self.seed = int(seed)
         self.descriptor_dim = int(descriptor_dim)
         self.max_incidence_deg = max_incidence_deg
         if object_normals is not None:
             object_normals = np.asarray(object_normals, dtype=float).reshape(-1, 3)
-            if object_normals.shape[0] != self.object_points.shape[0]:
+            if object_normals.shape[0] != n:
                 raise ValueError("one normal per object landmark required")
             object_normals = object_normals / np.linalg.norm(object_normals, axis=1, keepdims=True)
         self.object_normals = object_normals
 
-        n, m = self.object_points.shape[0], self.clutter_points.shape[0]
-        self.object_ids = np.arange(n, dtype=np.int64)
-        self.clutter_ids = np.arange(n, n + m, dtype=np.int64)
         rng = np.random.default_rng(self.seed)
-        desc = rng.normal(size=(n + m, self.descriptor_dim))
+        desc = rng.normal(size=(points.shape[0], self.descriptor_dim))
         desc /= np.linalg.norm(desc, axis=1, keepdims=True)
-        self.object_descriptors = desc[:n]
-        self.clutter_descriptors = desc[n:]
+        self._set_table(points, desc, n)
+
+    def _set_table(self, points: np.ndarray, descriptors: np.ndarray, n_object: int) -> None:
+        """Make (points, descriptors) the landmark table; its first n_object
+        rows are the object landmarks, and row i has id i."""
+        self._ids = np.arange(points.shape[0], dtype=np.int64)
+        self._points, self._descriptors = points, descriptors
+        for a in (points, descriptors, self._ids):
+            a.setflags(write=False)
+        self.object_points, self.clutter_points = points[:n_object], points[n_object:]
+        self.object_descriptors = descriptors[:n_object]
+        self.clutter_descriptors = descriptors[n_object:]
+        self.object_ids, self.clutter_ids = self._ids[:n_object], self._ids[n_object:]
 
     @property
     def n_object(self) -> int:
@@ -89,12 +100,9 @@ class Scene:
         return self.clutter_points.shape[0]
 
     def current_view_landmarks(self):
-        """Everything a current-view detector can see: object + clutter."""
-        return (
-            np.vstack([self.object_points, self.clutter_points]),
-            np.vstack([self.object_descriptors, self.clutter_descriptors]),
-            np.concatenate([self.object_ids, self.clutter_ids]),
-        )
+        """Everything a current-view detector can see, object rows then
+        clutter rows: the (points, descriptors, ids) table itself."""
+        return self._points, self._descriptors, self._ids
 
     def view_cone_mask(self, points: np.ndarray, camera_position: np.ndarray) -> np.ndarray:
         """Per-landmark visibility from a camera position, by incidence angle.
@@ -112,16 +120,11 @@ class Scene:
         return mask
 
     def without_clutter(self) -> "Scene":
-        scene = Scene(
-            self.object_points,
-            np.zeros((0, 3)),
-            self.seed,
-            self.object_normals,
-            self.max_incidence_deg,
-            self.descriptor_dim,
-        )
-        # keep the same canonical descriptors for object landmarks
-        scene.object_descriptors = self.object_descriptors
+        """The same scene without clutter; its table is the object rows of
+        this one, so the object descriptors are shared, not regenerated."""
+        scene = Scene.__new__(Scene)
+        vars(scene).update(vars(self))
+        scene._set_table(self.object_points, self.object_descriptors, self.n_object)
         return scene
 
     def to_dict(self) -> dict:
@@ -237,8 +240,14 @@ def render_target(scene: Scene, target_pose: Pose, intrinsics: CameraIntrinsics)
     idx = np.flatnonzero(visible)
     if idx.size < 3:
         raise TooFewVisibleLandmarks(f"only {idx.size} object landmarks visible from target pose")
-    return _ranked_features(
-        scene, idx, pixels, scene.object_descriptors, depths, scene.object_ids, intrinsics
+    rows, scores = _ranked_rows(scene, idx, pixels, scene.object_ids)
+    return FeatureSet(
+        pixels[rows],
+        scene.object_descriptors[rows],
+        scores,
+        (intrinsics.width, intrinsics.height),
+        depths=depths[rows],
+        landmark_ids=scene.object_ids[rows],
     )
 
 
@@ -367,7 +376,7 @@ class ServoLoop:
         pair_id_match = None
         inlier_ids = ()
         if target.landmark_ids is not None:
-            inlier_ids = tuple(int(i) for i in np.sort(target.landmark_ids[R.target_indices]))
+            inlier_ids = tuple(np.sort(target.landmark_ids[R.target_indices]).tolist())
             if current.landmark_ids is not None:
                 pair_id_match = (
                     current.landmark_ids[R.current_indices]

@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featservo.cli import main
 from featservo.errors import ConfigError
@@ -219,6 +225,106 @@ class TestConfig:
         assert len(goals) == cfg["accuracy"]["goals"]
         starts = default_start_offsets(cfg)
         assert len(starts) == cfg["accuracy"]["starts"]
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _sorted_pair(lo, hi):
+    return st.lists(_floats(lo, hi), min_size=2, max_size=2).map(sorted)
+
+
+def _rotations():
+    return st.lists(_floats(0.0, 30.0), min_size=3, max_size=3)
+
+
+@st.composite
+def _camera(draw):
+    width, height = draw(st.integers(16, 1024)), draw(st.integers(16, 1024))
+    return {
+        "fx": draw(_floats(1.0, 2000.0)),
+        "fy": draw(_floats(1.0, 2000.0)),
+        "cx": draw(_floats(0.0, width - 1.0)),
+        "cy": draw(_floats(0.0, height - 1.0)),
+        "width": width,
+        "height": height,
+    }
+
+
+@st.composite
+def _bands(draw):
+    edges = draw(st.lists(_floats(0.0, 20.0), min_size=2, max_size=7, unique=True))
+    edges.sort()
+    return [[lo, hi] for lo, hi in zip(edges[::2], edges[1::2])]
+
+
+def _table(**fields):
+    """A config table holding any subset of `fields`."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+# valid user configs: any subset of the tables, each with any subset of keys
+VALID_CONFIGS = st.fixed_dictionaries({}, optional={
+    "schema": st.just("featservo_config_v1"),
+    "seed": st.integers(0, 2**31 - 1),
+    "camera": _camera(),
+    "scene": _table(
+        n_object=st.integers(0, 400), n_clutter=st.integers(0, 400),
+        box_size=_floats(0.01, 1.0), clutter_shell=_sorted_pair(0.0, 1.0),
+        view_cone_deg=st.none() | _floats(1.0, 90.0), descriptor_dim=st.integers(1, 512),
+    ),
+    "detector": _table(
+        descriptor_noise_sigma=_floats(0.0, 1.0), detection_dropout=_floats(0.0, 1.0),
+        pixel_noise_sigma=_floats(0.0, 5.0),
+    ),
+    "control": _table(
+        gain=_floats(0.01, 5.0), svd_tolerance=_floats(0.0, 1e-3),
+        max_twist=st.none() | st.lists(_floats(0.01, 1.0), min_size=6, max_size=6),
+    ),
+    "ransac": _table(
+        inlier_threshold=_floats(0.1, 10.0), max_iterations=st.integers(1, 5000),
+        confidence=_floats(0.5, 0.9999), min_sample=st.integers(4, 8),
+    ),
+    "servo": _table(
+        dt=_floats(0.001, 0.5), tracking_threshold=_floats(0.0, 50.0),
+        success_threshold=_floats(0.01, 10.0), max_cycles=st.integers(1, 1000),
+        top_k=st.integers(0, 1000),
+    ),
+    "run": _table(
+        camera_distance=_floats(0.1, 2.0), offset_cm=_floats(0.0, 20.0),
+        rotation_deg=_rotations(),
+    ),
+    "accuracy": _table(
+        goals=st.integers(1, 3), starts=st.integers(1, 6), scenes=st.integers(1, 6),
+        offset_cm=_sorted_pair(0.0, 20.0), rotation_deg=_rotations(),
+    ),
+    "batch": _table(
+        bands_cm=_bands(), rotation_deg=_rotations(), trials=st.integers(1, 20),
+        clutter=st.sampled_from([True, False, "both"]),
+    ),
+})
+
+
+class TestConfigProperty:
+    @given(VALID_CONFIGS)
+    @settings(max_examples=60, deadline=None)
+    def test_valid_config_round_trips_and_checks(self, user):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(user))
+            cfg = load_config(path)
+            for table, value in user.items():
+                if isinstance(value, dict):
+                    assert {k: cfg[table][k] for k in value} == value
+                else:
+                    assert cfg[table] == value
+            # the full config, dumped, loads back unchanged
+            path.write_text(json.dumps(cfg))
+            assert load_config(path) == cfg
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["check", "--config", str(path)]) == 0
+            assert "OK" in out.getvalue()
 
 
 class TestCli:

@@ -10,13 +10,16 @@ from featservo.errors import ParseError, SchemaVersionMismatch
 from featservo.features import (
     FeatureSet,
     SyntheticDetectorConfig,
+    _in_frame,
+    _order_by_score,
+    _visible,
     landmark_scores,
     read_features,
     synthetic_detect,
     top_k,
     write_features,
 )
-from featservo.geometry import Pose, project
+from featservo.geometry import Pose, project, se3_exp
 from featservo.simulate import Scene, make_box_scene
 
 
@@ -99,6 +102,53 @@ class TestFeatureSet:
         assert np.array_equal(sub.pixels[0], fs.pixels[3])
         assert np.array_equal(sub.depths, fs.depths[[3, 0]])
 
+    @staticmethod
+    def _fields(fs):
+        return (fs.pixels, fs.descriptors, fs.scores, fs.depths, fs.landmark_ids)
+
+    @pytest.mark.parametrize("rows", [[4, 1, 2], [0], [], [2, 2]])
+    def test_subset_equals_checked_construction(self, rows):
+        rng = np.random.default_rng(3)
+        fs = FeatureSet(
+            rng.uniform(0, 200, (6, 2)), unit_descriptors(6), rng.uniform(0, 1, 6),
+            (320, 240), depths=rng.uniform(0.1, 2.0, 6), landmark_ids=np.arange(10, 16),
+        )
+        sub = fs.subset(rows)
+        idx = np.asarray(rows, dtype=np.int64)
+        built = FeatureSet(
+            fs.pixels[idx], fs.descriptors[idx], fs.scores[idx], fs.image_size,
+            depths=fs.depths[idx], landmark_ids=fs.landmark_ids[idx],
+        )
+        assert sub.image_size == built.image_size
+        for a, b in zip(self._fields(sub), self._fields(built)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        assert sub.descriptor_dim == built.descriptor_dim
+        assert sub.sq_norms.tobytes() == built.sq_norms.tobytes()
+
+    def test_subset_of_subset(self):
+        fs = make_set(8, with_depths=True)
+        fs.sq_norms  # a cached value travels with the rows
+        inner = fs.subset([7, 5, 3, 1]).subset([2, 0])
+        direct = fs.subset([3, 7])
+        for a, b in zip(self._fields(inner), self._fields(direct)):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert inner.sq_norms.tobytes() == np.sum(direct.descriptors**2, axis=1).tobytes()
+        assert not inner.sq_norms.flags.writeable
+        with pytest.raises(ValueError):
+            inner.pixels[0, 0] = 1.0
+
+    @pytest.mark.parametrize("offset, ok", [(0.9e-6, True), (-0.9e-6, True),
+                                            (1.1e-6, False), (-1.1e-6, False)])
+    def test_unit_norm_tolerance(self, offset, ok):
+        desc = unit_descriptors(3) * (1.0 + offset)
+        if ok:
+            FeatureSet(np.full((3, 2), 10.0), desc, [0.5] * 3, (320, 240))
+        else:
+            with pytest.raises(ValueError, match="unit norm"):
+                FeatureSet(np.full((3, 2), 10.0), desc, [0.5] * 3, (320, 240))
+
 
 class TestLandmarkScores:
     def test_deterministic_and_bounded(self):
@@ -162,6 +212,80 @@ class TestSyntheticDetect:
         assert not np.array_equal(a.pixels, b.pixels)  # stream advances
         fresh = synthetic_detect(scene, camera, intrinsics, cfg, np.random.default_rng(cfg.seed))
         assert np.array_equal(fresh.pixels, a.pixels)
+
+
+def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
+    """synthetic_detect as it was before it gathered each kept row once:
+    every visible row noised and normalized, then ranked and gathered."""
+    points, descriptors, ids = scene.current_view_landmarks()
+    pixels, depths, visible = _visible(scene, points, camera, intrinsics)
+    idx = np.flatnonzero(visible)
+    keep = rng.random(idx.size) >= cfg.detection_dropout
+    idx = idx[keep]
+    n = idx.size
+    if n == 0:
+        return FeatureSet.empty((intrinsics.width, intrinsics.height), descriptors.shape[1])
+    noisy_pixels = pixels[idx]
+    if cfg.pixel_noise_sigma > 0:
+        noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
+    desc = descriptors[idx]
+    if cfg.descriptor_noise_sigma > 0:
+        desc = desc + rng.normal(0.0, cfg.descriptor_noise_sigma, size=desc.shape)
+    desc = desc / np.linalg.norm(desc, axis=1, keepdims=True)
+    inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
+    kept_ids, kept_depths = ids[idx], depths[idx]
+    scores = landmark_scores(scene.seed, kept_ids[inb])
+    rank = _order_by_score(noisy_pixels[inb], scores)
+    rows = inb[rank]
+    return FeatureSet(
+        noisy_pixels[rows], desc[rows], scores[rank], (intrinsics.width, intrinsics.height),
+        depths=kept_depths[rows], landmark_ids=kept_ids[rows],
+    )
+
+
+class TestDetectMatchesOldBody:
+    """synthetic_detect gathers each surviving row once, in final order; its
+    output bytes and the generator it leaves behind equal the old body's."""
+
+    CASES = {
+        "dropout": dict(detection_dropout=0.3),
+        "out_of_frame": dict(pixel_noise_sigma=40.0),
+        "descriptor_noise": dict(descriptor_noise_sigma=0.1),
+        "all": dict(detection_dropout=0.3, pixel_noise_sigma=40.0, descriptor_noise_sigma=0.1),
+        "default_noise": dict(descriptor_noise_sigma=0.02, pixel_noise_sigma=0.3),
+        "noiseless": dict(),
+        "empty": dict(detection_dropout=1.0, pixel_noise_sigma=0.3),
+        "empty_out_of_frame": dict(pixel_noise_sigma=1e6, descriptor_noise_sigma=0.1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_equal(self, case, intrinsics):
+        cfg = SyntheticDetectorConfig(**self.CASES[case])
+        scene = make_box_scene(seed=11, n_clutter=60)
+        new_rng, old_rng = np.random.default_rng(4), np.random.default_rng(4)
+        pose_rng = np.random.default_rng(5)
+        sizes = []
+        for _ in range(6):
+            xi = np.r_[pose_rng.uniform(-0.05, 0.05, 3), pose_rng.uniform(-0.2, 0.2, 3)]
+            offset = se3_exp(xi)
+            camera = Pose(offset.rotation, offset.translation + (0.0, 0.0, -0.3))
+            new = synthetic_detect(scene, camera, intrinsics, cfg, new_rng)
+            old = old_synthetic_detect(scene, camera, intrinsics, cfg, old_rng)
+            for a, b in zip(TestFeatureSet._fields(new), TestFeatureSet._fields(old)):
+                if a is None or b is None:  # an empty set from full dropout
+                    assert a is None and b is None
+                else:
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            sizes.append(len(new))
+        if case.startswith("empty"):
+            assert sizes == [0] * 6
+        else:
+            assert min(sizes) > 0
+        if case == "out_of_frame":
+            # noise pushed some visible keypoints out of the frame
+            clean = SyntheticDetectorConfig()
+            assert len(new) < len(synthetic_detect(scene, camera, intrinsics, clean))
 
 
 class TestTopK:

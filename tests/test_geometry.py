@@ -8,6 +8,7 @@ from featservo.geometry import (
     CameraIntrinsics,
     Pose,
     Twist,
+    _as_rotation,
     compose,
     integrate_twist,
     inverse,
@@ -153,6 +154,70 @@ class TestPoseBasics:
 
     def test_rotation_angle_clips_numerical_noise(self):
         assert rotation_angle(np.eye(3)) == 0.0
+
+
+def old_as_rotation(R):
+    """_as_rotation as it was before the written-out tolerance test and the
+    cofactor determinant sign."""
+    R = np.asarray(R, dtype=float).reshape(3, 3)
+    if not np.allclose(R.T @ R, np.eye(3), atol=1e-6):
+        raise ValueError("rotation matrix is not orthonormal")
+    if np.linalg.det(R) < 0:
+        raise ValueError("rotation matrix has negative determinant")
+    return R
+
+
+def _verdict(check, R):
+    try:
+        return check(R).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _shear(e):
+    # R.T @ R has e off the diagonal: the 1e-6 absolute tolerance applies
+    R = np.eye(3)
+    R[0, 1] = e
+    return R
+
+
+def _stretch(e):
+    # R.T @ R has 1 + e on the diagonal: 1e-6 + 1e-5 applies
+    return np.diag([np.sqrt(1.0 + e), 1.0, 1.0])
+
+
+class TestRotationCheckMatchesOld:
+    ROTATION = random_pose(np.random.default_rng(9)).rotation
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            _shear(0.9e-6), _shear(1.1e-6), _shear(-0.9e-6), _shear(-1.1e-6),
+            _stretch(1.09e-5), _stretch(1.11e-5), _stretch(-1.09e-5), _stretch(-1.11e-5),
+            np.eye(3), np.diag([1.0, 1.0, -1.0]), -np.eye(3), np.diag([-1.0, -1.0, 1.0]),
+        ],
+    )
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_same_verdict(self, matrix, rotate):
+        R = self.ROTATION @ matrix if rotate else matrix
+        assert _verdict(_as_rotation, R) == _verdict(old_as_rotation, R)
+
+    def test_boundary_cases_split(self):
+        assert isinstance(_verdict(_as_rotation, _shear(0.9e-6)), bytes)
+        assert "orthonormal" in _verdict(_as_rotation, _shear(1.1e-6))
+        assert isinstance(_verdict(_as_rotation, _stretch(1.09e-5)), bytes)
+        assert "orthonormal" in _verdict(_as_rotation, _stretch(1.11e-5))
+        assert "determinant" in _verdict(_as_rotation, self.ROTATION @ np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [0, 4, 7])
+    def test_non_finite_rejected_alike(self, bad, entry):
+        R = self.ROTATION.copy()
+        R.flat[entry] = bad
+        with np.errstate(invalid="ignore"):
+            verdicts = _verdict(_as_rotation, R), _verdict(old_as_rotation, R)
+        assert verdicts[0] == verdicts[1]
+        assert "orthonormal" in verdicts[0]
 
 
 class TestIntrinsics:

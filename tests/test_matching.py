@@ -116,6 +116,80 @@ class TestMatchNN:
         assert len(np.unique(C.target_indices)) == len(C)
 
 
+def old_match_nn(current, target):
+    """match_nn as it was before the cached norms and the in-place d2."""
+    cur, tgt = current.descriptors, target.descriptors
+    d2 = (
+        np.sum(cur**2, axis=1)[:, None]
+        + np.sum(tgt**2, axis=1)[None, :]
+        - 2.0 * (cur @ tgt.T)
+    )
+    np.maximum(d2, 0.0, out=d2)
+    nearest_tgt = np.argmin(d2, axis=1)
+    nearest_cur = np.argmin(d2, axis=0)
+    keep = nearest_cur[nearest_tgt] == np.arange(len(current))
+    cur_idx = np.flatnonzero(keep).astype(np.int64)
+    tgt_idx = nearest_tgt[cur_idx].astype(np.int64)
+    dist = np.sqrt(d2[cur_idx, tgt_idx])
+    order = np.argsort(dist, kind="stable")
+    cur_idx, tgt_idx, dist = cur_idx[order], tgt_idx[order], dist[order]
+    return CorrespondenceSet(
+        cur_idx, tgt_idx, dist, current.pixels[cur_idx], target.pixels[tgt_idx]
+    )
+
+
+def noisy_copy(desc, sigma, seed):
+    noisy = desc + np.random.default_rng(seed).normal(0.0, sigma, desc.shape)
+    return noisy / np.linalg.norm(noisy, axis=1, keepdims=True)
+
+
+class TestMatchNNMatchesOldFormula:
+    """The cached norms and in-place d2 give the old correspondence bytes."""
+
+    @staticmethod
+    def assert_same(cur, tgt):
+        new, old = match_nn(cur, tgt), old_match_nn(cur, tgt)
+        for field in ("current_indices", "target_indices", "distances",
+                      "current_pixels", "target_pixels"):
+            a, b = getattr(new, field), getattr(old, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        return new
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("d", [32, 256])
+    def test_noisy_descriptors(self, seed, d):
+        rng = np.random.default_rng(seed)
+        base = unit_descriptors(60, d=d, seed=seed)
+        tgt = feature_set(rng.uniform(0, 200, (60, 2)), base)
+        cur = feature_set(rng.uniform(0, 200, (45, 2)), noisy_copy(base[10:55], 0.05, seed))
+        assert len(self.assert_same(cur, tgt)) > 0
+
+    def test_duplicated_rows_tie(self):
+        base = unit_descriptors(12, seed=3)
+        dup = np.vstack([base, base[[2, 5, 5, 7]]])  # exact ties on both sides
+        rng = np.random.default_rng(4)
+        cur = feature_set(rng.uniform(0, 200, (16, 2)), dup)
+        tgt = feature_set(rng.uniform(0, 200, (16, 2)), dup[::-1].copy())
+        self.assert_same(cur, tgt)
+        self.assert_same(tgt, cur)
+
+    def test_locked_tracking_target(self):
+        target = make_target(40, seed=2)
+        state = TrackingState(activation_threshold=10.0)
+        target.sq_norms  # the full target's cached norms carry into the lock
+        state = tracking_update(
+            state, target, inliers_over(target, [3, 9, 1, 30, 22, 17]), mean_error=5.0
+        )
+        locked = state.matchable_target(target)
+        cur = feature_set(
+            np.random.default_rng(8).uniform(0, 200, (25, 2)),
+            noisy_copy(target.descriptors[10:35], 0.05, 8),
+        )
+        for _ in range(2):  # the second pass reads every cached value
+            C = self.assert_same(cur, locked)
+        assert len(C) > 0
+
+
 def full_svd_fit(src, dst):
     """Reference DLT: Hartley normalization and a full SVD of A, one model."""
     def normalize(pts):
@@ -289,6 +363,20 @@ class TestHomography:
         assert fit_homography(src, src + 1.0) is None
         off_origin = np.array([[0.0, 5.0], [10.0, 8.0], [20.0, 11.0], [30.0, 14.0]])
         assert fit_homography(off_origin, np.random.default_rng(0).uniform(0, 300, (4, 2))) is None
+
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_four_point_sample_collinear_on_one_side(self, side):
+        rng = np.random.default_rng(21)
+        t = rng.uniform(0, 1, 4)
+        line = np.c_[20.0 + 200.0 * t, 30.0 + 100.0 * t]
+        spread = rng.uniform(0, 300, (4, 2))
+        src, dst = (line, spread) if side == "src" else (spread, line)
+        assert fit_homography(src, dst) is None
+        # three collinear points are enough
+        three = spread.copy()
+        three[:3] = line[:3]
+        src, dst = (three, spread + 5.0) if side == "src" else (spread + 5.0, three)
+        assert fit_homography(src, dst) is None
 
     @pytest.mark.parametrize("n", [5, 6, 9, 40, 320])
     def test_thin_svd_fit_matches_full_svd_dlt(self, n):

@@ -5,6 +5,7 @@ from dataclasses import replace
 from featservo.errors import TooFewVisibleLandmarks
 from featservo.features import SyntheticDetectorConfig, synthetic_detect
 from featservo.geometry import Pose, compose, pose_error, se3_exp
+from featservo.matching import TrackingState
 from featservo.simulate import (
     Scene,
     ServoLoop,
@@ -58,6 +59,36 @@ class TestScene:
     def test_planar_scene_is_planar(self):
         scene = make_planar_scene(seed=2)
         assert np.all(scene.object_points[:, 2] == 0.0)
+
+    def test_one_read_only_landmark_table(self, box_scene):
+        points, descriptors, ids = box_scene.current_view_landmarks()
+        # the same arrays on every call: nothing is stacked per cycle
+        again = box_scene.current_view_landmarks()
+        assert all(a is b for a, b in zip(again, (points, descriptors, ids)))
+        n = box_scene.n_object
+        assert np.array_equal(ids, np.arange(n + box_scene.n_clutter))
+        for table, obj, clutter in (
+            (points, box_scene.object_points, box_scene.clutter_points),
+            (descriptors, box_scene.object_descriptors, box_scene.clutter_descriptors),
+            (ids, box_scene.object_ids, box_scene.clutter_ids),
+        ):
+            assert obj.base is table and clutter.base is table
+            assert np.array_equal(table, np.concatenate([obj, clutter]))
+            assert not table.flags.writeable and not obj.flags.writeable
+
+    def test_without_clutter_shares_object_rows(self, box_scene):
+        clean = box_scene.without_clutter()
+        points, descriptors, ids = clean.current_view_landmarks()
+        assert clean.n_clutter == 0 and clean.n_object == box_scene.n_object
+        assert np.shares_memory(points, box_scene.object_points)
+        assert np.shares_memory(descriptors, box_scene.object_descriptors)
+        assert np.array_equal(ids, box_scene.object_ids)
+        # the parent keeps its clutter, and a rebuilt scene has the same rows
+        assert box_scene.n_clutter > 0
+        rebuilt = Scene(box_scene.object_points, np.zeros((0, 3)), box_scene.seed,
+                        box_scene.object_normals, box_scene.max_incidence_deg)
+        for a, b in zip(clean.current_view_landmarks(), rebuilt.current_view_landmarks()):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestRenderTarget:
@@ -118,6 +149,27 @@ class TestServoStep:
         rec = loop.step()
         assert rec.event == "insufficient_features"
         assert np.all(rec.twist == 0)
+
+    def test_tracking_stays_off_after_tracking_lost(self, clean_scene, target_pose):
+        # near the target every cycle is below the tracking threshold, so
+        # tracking would lock again at once if it re-armed
+        cfg = offset_config(target_pose, [0.004, 0.002, 0, 0, 0, 0.01])
+        control = ServoLoop(clean_scene, cfg)
+        assert any(control.step().tracking for _ in range(4))
+
+        loop = ServoLoop(clean_scene, cfg)
+        loop.tracking = TrackingState(
+            activation_threshold=cfg.tracking_threshold,
+            active=True,
+            locked_target=loop.target_full.subset([0, 1]),
+        )
+        lost = loop.step()
+        assert lost.tracking and lost.event == "tracking_lost"
+        assert loop.tracking_disabled and not loop.tracking.active
+        later = [loop.step() for _ in range(6)]
+        assert all(r.event == "" and r.mean_error < cfg.tracking_threshold for r in later)
+        assert not any(r.tracking for r in later)
+        assert not loop.tracking.active
 
 
 class TestRunServo:

@@ -6,6 +6,10 @@ For each of the seeds 0, 1 and 2 this writes, under DIR/seed<s>/:
   run/       `featservo run` on the default config
   accuracy/  `featservo accuracy` on config {}
   batch/     `featservo batch` on two bands, two trials, clutter "both"
+  stress/    `featservo batch` and `featservo run` past the defaults: 4-8
+             and 8-16 cm bands (8 cm for run), 20 deg rotations, detection
+             dropout 0.2, 50 RANSAC iterations and 60 cycles, so dropout,
+             out-of-frame drops and failure statuses reach the outputs
   planar/    trace.csv of `run_servo` on a 400-landmark planar scene with
              the default run config at top_k 320
 and prints one `<sha256>  <path relative to DIR>` line per output file.
@@ -34,7 +38,23 @@ CONFIGS = {
     "run": {},
     "accuracy": {},
     "batch": {"batch": {"bands_cm": [[0, 1], [4, 8]], "trials": 2, "clutter": "both"}},
+    "stress": {
+        "detector": {"detection_dropout": 0.2},
+        "ransac": {"max_iterations": 50},
+        "servo": {"max_cycles": 60},
+        "run": {"offset_cm": 8, "rotation_deg": [20, 20, 20]},
+        "batch": {"bands_cm": [[4, 8], [8, 16]], "rotation_deg": [20, 20, 20],
+                  "trials": 2, "clutter": "both"},
+    },
 }
+# (output directory, command, config) in run order
+COMMANDS = (
+    ("run", "run", "run"),
+    ("accuracy", "accuracy", "accuracy"),
+    ("batch", "batch", "batch"),
+    ("stress", "batch", "stress"),
+    ("stress", "run", "stress"),
+)
 
 
 def produce(out: Path) -> None:
@@ -42,14 +62,14 @@ def produce(out: Path) -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         configs = {}
-        for command, config in CONFIGS.items():
-            configs[command] = Path(tmp) / f"{command}.json"
-            configs[command].write_text(json.dumps(config))
+        for name, config in CONFIGS.items():
+            configs[name] = Path(tmp) / f"{name}.json"
+            configs[name].write_text(json.dumps(config))
         for seed in SEEDS:
             root = out / f"seed{seed}"
-            for command, path in configs.items():
-                argv = [command, "--config", str(path), "--seed", str(seed),
-                        "--out", str(root / command)]
+            for directory, command, name in COMMANDS:
+                argv = [command, "--config", str(configs[name]), "--seed", str(seed),
+                        "--out", str(root / directory)]
                 with contextlib.redirect_stdout(io.StringIO()):
                     if cli.main(argv) != 0:
                         raise SystemExit(f"featservo {' '.join(argv)} failed")
