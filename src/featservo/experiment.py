@@ -263,6 +263,9 @@ _BATCH_COLUMNS = [
     ("clutter", lambda r: "1" if r.clutter else "0"),
     ("trials", lambda r: str(r.trials)),
     ("converged", lambda r: str(r.converged)),
+    ("max_cycles", lambda r: str(r.statuses.count("MaxCycles"))),
+    ("tracking_lost", lambda r: str(r.statuses.count("TrackingLost"))),
+    ("insufficient_features", lambda r: str(r.statuses.count("InsufficientFeatures"))),
     ("success_ratio", lambda r: _NUM % r.success_ratio),
 ]
 
@@ -281,7 +284,7 @@ def write_accuracy_csv(records, path) -> None:
 
 
 def write_batch_csv(results, path) -> None:
-    write_csv(path, "featservo_batch_v1", _BATCH_COLUMNS, results)
+    write_csv(path, "featservo_batch_v2", _BATCH_COLUMNS, results)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +370,9 @@ def load_config(path, seed: int | None = None) -> dict:
         raise ConfigError("config root must be an object")
     if user.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {user.get('schema')!r}")
-    cfg = _merge_strict(_DEFAULT_CONFIG, user)
+    # merge into a deep copy: a caller that edits its config's lists must not
+    # edit the defaults that every later load_config starts from
+    cfg = _merge_strict(json.loads(json.dumps(_DEFAULT_CONFIG)), user)
     if seed is not None:
         cfg["seed"] = seed
     if cfg["batch"]["clutter"] not in (True, False, "both"):

@@ -1,6 +1,7 @@
-"""Descriptor nearest-neighbour matching, RANSAC outlier rejection with a
-normalized-DLT homography model, and the tracking mode that restricts
-matching to the previous cycle's inlier targets near convergence.
+"""Descriptor nearest-neighbour matching, RANSAC outlier rejection with
+closed-form 4-point homography hypotheses and a normalized-DLT local refit,
+and the tracking mode that restricts matching to the previous cycle's
+inlier targets near convergence.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ CHUNK = 8  # RANSAC hypotheses drawn, fitted and scored per batch
 
 @dataclass(frozen=True)
 class RansacConfig:
-    inlier_threshold: float = 2.0  # pixels, symmetric transfer error
+    # pixels: hypotheses are scored by the one-sided transfer error, the
+    # returned set by the symmetric one
+    inlier_threshold: float = 2.0
     max_iterations: int = 1000
     confidence: float = 0.999
     min_sample: int = 4  # homography
@@ -138,11 +141,11 @@ def _normalize_points(pts: np.ndarray):
 
 
 def _dlt(src: np.ndarray, dst: np.ndarray):
-    """Normalized DLT over a stack of (..., n, 2) correspondence sets.
+    """Normalized DLT over a stack of (..., n, 2) correspondence sets, n >= 5
+    (with fewer rows the thin SVD of the 2n x 9 system lacks its null vector).
 
     Returns the (..., 3, 3) models scaled to H[2, 2] = 1 and a mask of the
-    non-degenerate ones. At n = 4 the 8x9 system needs the full SVD for its
-    null vector; above that the thin SVD has the same last row of Vt.
+    non-degenerate ones.
     """
     n = src.shape[-2]
     sn, Ts = _normalize_points(src)
@@ -162,24 +165,55 @@ def _dlt(src: np.ndarray, dst: np.ndarray):
     A[..., 1::2, 6] = -v * x
     A[..., 1::2, 7] = -v * y
     A[..., 1::2, 8] = -v
-    _, sigma, Vt = np.linalg.svd(A, full_matrices=n == 4)
-    bad = np.zeros(src.shape[:-2], dtype=bool)
-    if n == 4:  # rank-deficient sample (collinear points)
-        bad = sigma[..., -2] < 1e-8 * np.maximum(sigma[..., 0], 1.0)
+    Vt = np.linalg.svd(A, full_matrices=False)[2]
     Hn = Vt[..., -1, :].reshape(src.shape[:-2] + (3, 3))
     H = np.linalg.inv(Td) @ Hn @ Ts
-    bad |= np.abs(H[..., 2, 2]) < 1e-12
+    bad = np.abs(H[..., 2, 2]) < 1e-12
     return H / np.where(bad, 1.0, H[..., 2, 2])[..., None, None], ~bad
 
 
+def _minimal_fit(src: np.ndarray, dst: np.ndarray):
+    """Closed-form homographies of a (k, 4, 2) stack of 4-point samples.
+
+    With each side's first three points, lifted to w = 1, as the columns of
+    P and Q, entry i of lam = adj(P) p4 and of mu = adj(Q) q4 is twice the
+    signed area of the triangle that leaves out point i, as det(P) and
+    det(Q) are for point 4. H = Q diag(mu / lam) adj(P) / det(Q) maps each
+    p_i onto q_i, and p4 with w = 1. A sample is degenerate when any of
+    these four triangles has an area below 1e-6 on either side (three
+    points near one line).
+
+    Returns the (k, 3, 3) models, zero where degenerate, and a mask of the
+    non-degenerate ones.
+    """
+    p = np.stack([src, dst])
+    # per side: lam_1, lam_2, lam_3 and det(P) as cross products of edges
+    base = p[..., [1, 0, 0, 0], :]
+    a = p[..., [2, 3, 1, 1], :] - base
+    b = p[..., [3, 2, 3, 2], :] - base
+    area2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    ok = np.abs(area2).min(axis=(0, 2)) >= 2e-6
+    scale = np.where(ok[:, None], area2[1, :, :3], 0.0)
+    scale /= np.where(ok[:, None], area2[0, :, :3] * area2[1, :, 3:], 1.0)
+    # row r of adj(P) is the cross product of the lifted points u[r] and v[r]
+    u, v = src[:, [1, 2, 0]], src[:, [2, 0, 1]]
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    adj_p = np.stack([u[..., 1] - v[..., 1], v[..., 0] - u[..., 0], cross], axis=-1)
+    Q = np.concatenate([dst[:, :3], np.ones((len(dst), 3, 1))], axis=2).swapaxes(1, 2)
+    return (Q * scale[:, None, :]) @ adj_p, ok
+
+
 def fit_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
-    """Direct linear transform on normalized coordinates; None if degenerate,
-    which includes a 4-point sample with 3 collinear points on either side
-    (the DLT alone catches only the source side)."""
+    """Homography mapping src onto dst pixels, scaled to H[2, 2] = 1; None if
+    degenerate. Four pairs take the closed form of `_minimal_fit`, which
+    rejects three near-collinear points on either side; more take the
+    normalized DLT."""
     if src.shape[0] < 4:
         return None
-    if src.shape[0] == 4 and (_collinear(src[None]) | _collinear(dst[None]))[0]:
-        return None
+    if src.shape[0] == 4:
+        H, ok = _minimal_fit(src[None], dst[None])
+        H, ok = H[0], ok[0] and abs(H[0, 2, 2]) >= 1e-12
+        return H / H[2, 2] if ok else None
     H, ok = _dlt(src, dst)
     return H if ok else None
 
@@ -214,36 +248,28 @@ def symmetric_transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) ->
     return _transfer_error(H, src, dst)
 
 
-# the four 3-point subsets of a sample's first four points
-_TRIANGLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
-
-def _collinear(pts: np.ndarray) -> np.ndarray:
-    """Per sample of a (k, m, 2) stack: True if any 3 of its first 4 points
-    are (near-)collinear."""
-    tri = pts[:, _TRIANGLES]
-    a = tri[..., 1, :] - tri[..., 0, :]
-    b = tri[..., 2, :] - tri[..., 0, :]
-    area = 0.5 * np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
-    return np.any(area < 1e-6, axis=-1)
-
-
-def _score_samples(src, dst, samples, threshold):
-    """Fit and score one chunk of (k, m) samples at once.
-
-    Returns the (k, 3, 3) models and (k, n) inlier masks; a collinear or
-    degenerate sample keeps an all-False mask.
-    """
-    models = np.zeros((len(samples), 3, 3))
-    masks = np.zeros((len(samples), len(src)), dtype=bool)
+def _hypotheses(src, dst, samples):
+    """(k, 3, 3) models of a (k, m) chunk of samples, signed so that a sample
+    point maps with w > 0; a degenerate sample gets the zero model. Above 4
+    points, the first 4 are screened, then the DLT fits all m."""
     s, d = src[samples], dst[samples]
-    fit = np.flatnonzero(~(_collinear(s) | _collinear(d)))
-    H, ok = _dlt(s[fit], d[fit])
-    fit, H = fit[ok], H[ok]
-    if fit.size:
-        models[fit] = H
-        masks[fit] = _transfer_error(H, src, dst) <= threshold
-    return models, masks
+    H, ok = _minimal_fit(s[:, :4], d[:, :4])
+    if samples.shape[1] > 4:
+        fit = np.flatnonzero(ok)
+        Hd, ok_d = _dlt(s[fit], d[fit])
+        w = np.sum(Hd[:, 2, :2] * s[fit, 0], axis=-1) + Hd[:, 2, 2]
+        H[fit] = Hd * (np.sign(w) * ok_d)[:, None, None]
+    return H
+
+
+def _one_sided_inliers(H, src, dst, threshold):
+    """(k, n) masks of the pairs within `threshold` px of their forward
+    transfer under each of a stack of models, without dividing by w:
+    |q_xy - dst * q_w|^2 <= threshold^2 * q_w^2 and q_w > 0."""
+    q = src @ H[..., :2].swapaxes(-1, -2) + H[..., None, :, 2]
+    w = q[..., 2]
+    r = q[..., :2] - dst * w[..., None]
+    return (r[..., 0] ** 2 + r[..., 1] ** 2 <= threshold**2 * w**2) & (w > 0)
 
 
 def ransac_inliers(
@@ -251,65 +277,56 @@ def ransac_inliers(
 ) -> InlierSet:
     """Largest homography consensus over the correspondence set.
 
-    Adaptive iteration count from the standard confidence bound; the
-    winning model is refit on its inliers and the set re-thresholded so
-    every returned pair satisfies the threshold under the returned model.
-    Bit-reproducible for a fixed (input, seed) when no generator is given.
-
-    Hypotheses are drawn, fitted and scored CHUNK at a time, then accepted
-    in draw order exactly as one at a time; when the stopping bound falls
-    inside a chunk, the generator is rewound so it ends where a serial loop
-    would leave it.
+    Hypotheses are drawn CHUNK at a time, one `rng.random` call per chunk,
+    and scored by their one-sided transfer error. Each chunk's best
+    hypothesis, when it beats every earlier one, is refit on its support and
+    re-thresholded by the symmetric transfer error (local optimisation);
+    that count picks the returned set and sets the adaptive iteration bound
+    from the standard confidence formula. Every returned pair satisfies the
+    threshold under the returned model. Bit-reproducible for a fixed
+    (input, seed) when no generator is given.
     """
-    n = len(C)
-    if n < cfg.min_sample:
-        raise TooFewCorrespondences(f"{n} pairs < min_sample {cfg.min_sample}")
+    n, m = len(C), cfg.min_sample
+    if n < m:
+        raise TooFewCorrespondences(f"{n} pairs < min_sample {m}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     src, dst = C.current_pixels, C.target_pixels
+    t = cfg.inlier_threshold
 
-    best_count = 0
-    best_mask = None
-    best_model = None
-    needed = cfg.max_iterations
+    best_count = best_support = 0
+    best_mask = best_model = None
+    limit = cfg.max_iterations
     it = 0
-    done = False
-    while not done:
-        state = rng.bit_generator.state
-        k = min(CHUNK, min(needed, cfg.max_iterations) - it)
-        samples = np.array(
-            [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(k)]
-        )
-        models, masks = _score_samples(src, dst, samples, cfg.inlier_threshold)
-        for j, count in enumerate(masks.sum(axis=1).tolist()):
-            it += 1
-            if count > best_count:
-                best_count = count
-                best_mask = masks[j]
-                best_model = models[j]
-                w = count / n
-                if w >= 1.0:
-                    done = True
-                else:
-                    denom = np.log1p(-min(w**cfg.min_sample, 1 - 1e-12))
-                    needed = int(np.ceil(np.log1p(-cfg.confidence) / denom))
-            done = done or it >= min(needed, cfg.max_iterations)
-            if done:
-                if j + 1 < k:  # leave the generator after draw j, not draw k
-                    rng.bit_generator.state = state
-                    for _ in range(j + 1):
-                        rng.choice(n, size=cfg.min_sample, replace=False)
+    while it < limit:
+        k = min(CHUNK, limit - it)
+        it += k
+        samples = np.argpartition(rng.random((k, n)), m - 1, axis=1)[:, :m]
+        H = _hypotheses(src, dst, samples)
+        masks = _one_sided_inliers(H, src, dst, t)
+        counts = masks.sum(axis=1)
+        j = int(np.argmax(counts))
+        if counts[j] <= best_support:
+            continue
+        best_support = counts[j]
+        # local optimisation; keep the hypothesis when the refit fails
+        model = fit_homography(src[masks[j]], dst[masks[j]])
+        if model is not None:
+            mask = symmetric_transfer_error(model, src, dst) <= t
+        if model is None or mask.sum() < m:
+            model = H[j]
+            mask = symmetric_transfer_error(model, src, dst) <= t
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask, best_model = count, mask, model
+            w = count / n
+            if w >= 1.0:
                 break
+            denom = np.log1p(-min(w**m, 1 - 1e-12))
+            limit = min(cfg.max_iterations, int(np.ceil(np.log1p(-cfg.confidence) / denom)))
 
-    if best_mask is None or best_count < cfg.min_sample:
+    if best_mask is None or best_count < m:
         raise TooFewCorrespondences("no non-degenerate consensus found")
-
-    # refit on the consensus, then re-threshold under the refit model
-    refit = fit_homography(src[best_mask], dst[best_mask])
-    if refit is not None:
-        refined = symmetric_transfer_error(refit, src, dst) <= cfg.inlier_threshold
-        if refined.sum() >= cfg.min_sample:
-            best_mask, best_model = refined, refit
     return InlierSet(C, np.flatnonzero(best_mask).astype(np.int64), best_model)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from featservo.cli import main
 from featservo.errors import ConfigError
 from featservo.experiment import (
+    BatchResult,
     BatchSpec,
     aggregate_accuracy,
     batch_specs,
@@ -150,6 +151,18 @@ class TestBatchSuite:
         assert len(lines) == 3
         assert lines[2].split(",")[3] == "2"  # trials column
 
+    def test_csv_counts_every_status(self, scene, base_cfg, tmp_path):
+        statuses = ("Converged", "MaxCycles", "InsufficientFeatures", "MaxCycles", "TrackingLost")
+        result = BatchResult(band_cm=(4.0, 8.0), clutter=True, trials=5, converged=1,
+                             statuses=statuses)
+        path = tmp_path / "batch.csv"
+        write_batch_csv([result], path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# featservo_batch_v2"
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert (row["trials"], row["converged"], row["max_cycles"], row["tracking_lost"],
+                row["insufficient_features"]) == ("5", "1", "2", "1", "1")
+
 
 class TestProfiles:
     def test_profiles_byte_identical(self, scene, base_cfg, target_pose, tmp_path):
@@ -178,6 +191,15 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
         return path
+
+    def test_edited_lists_do_not_leak_into_later_configs(self, tmp_path):
+        path = self._write(tmp_path, {})
+        cfg = load_config(path)
+        cfg["run"]["rotation_deg"][0] = 99.0
+        cfg["batch"]["bands_cm"][0][1] = 99.0
+        again = load_config(path)
+        assert again["run"]["rotation_deg"] == [5.0, 5.0, 3.0]
+        assert again["batch"]["bands_cm"][0] == [0.0, 1.0]
 
     def test_defaults_fill_in(self, tmp_path):
         cfg = load_config(self._write(tmp_path, {"seed": 7}))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featservo import matching
 from featservo.errors import EmptySet, TooFewCorrespondences, TrackingLost
 from featservo.features import FeatureSet
 from featservo.matching import (
@@ -11,6 +12,7 @@ from featservo.matching import (
     InlierSet,
     RansacConfig,
     TrackingState,
+    _minimal_fit,
     _transfer_error,
     fit_homography,
     match_nn,
@@ -218,49 +220,14 @@ def full_svd_fit(src, dst):
 
 
 def degenerate_sample(pts):
-    """True if any 3 of the 4 sample points are (near-)collinear."""
+    """True if any 3 of the 4 sample points are (near-)collinear: a triangle
+    of area below 1e-6 px^2."""
     for skip in range(4):
         tri = np.delete(pts, skip, axis=0)
         a, b = tri[1] - tri[0], tri[2] - tri[0]
         if 0.5 * abs(a[0] * b[1] - a[1] * b[0]) < 1e-6:
             return True
     return False
-
-
-def serial_ransac(C, cfg, rng):
-    """Reference RANSAC: one hypothesis at a time, each fitted and scored alone."""
-    n = len(C)
-    if n < cfg.min_sample:
-        raise TooFewCorrespondences("too few pairs")
-    src, dst = C.current_pixels, C.target_pixels
-    best_count, best_mask, best_model = 0, None, None
-    needed = cfg.max_iterations
-    it = 0
-    while it < min(needed, cfg.max_iterations):
-        it += 1
-        sample = rng.choice(n, size=cfg.min_sample, replace=False)
-        if degenerate_sample(src[sample]) or degenerate_sample(dst[sample]):
-            continue
-        H = full_svd_fit(src[sample], dst[sample])
-        if H is None:
-            continue
-        mask = symmetric_transfer_error(H, src, dst) <= cfg.inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_mask, best_model = count, mask, H
-            w = count / n
-            if w >= 1.0:
-                break
-            denom = np.log1p(-min(w**cfg.min_sample, 1 - 1e-12))
-            needed = int(np.ceil(np.log1p(-cfg.confidence) / denom))
-    if best_mask is None or best_count < cfg.min_sample:
-        raise TooFewCorrespondences("no non-degenerate consensus found")
-    refit = full_svd_fit(src[best_mask], dst[best_mask])
-    if refit is not None:
-        refined = symmetric_transfer_error(refit, src, dst) <= cfg.inlier_threshold
-        if refined.sum() >= cfg.min_sample:
-            best_mask, best_model = refined, refit
-    return np.flatnonzero(best_mask), best_model
 
 
 def noisy_pairs(seed, n, outlier_frac=0.0, noise=0.3):
@@ -272,83 +239,218 @@ def noisy_pairs(seed, n, outlier_frac=0.0, noise=0.3):
     return pair_set(src, dst)
 
 
-def collinear_heavy_pairs(seed, n):
-    """Half the points on one line, so many samples are degenerate."""
+def planted_pairs(seed, n, outlier_frac):
+    """Pairs of which the first round((1 - outlier_frac) n) follow the known
+    homography within 0.3 px noise; the rest sit 20-60 px off it."""
     rng = np.random.default_rng(seed)
+    n_in = round((1.0 - outlier_frac) * n)
     src = rng.uniform(20, 300, (n, 2))
-    t = rng.uniform(0, 1, n // 2)
-    src[: n // 2] = np.c_[20 + 260 * t, 40 + 150 * t]
-    return pair_set(src, apply_h(known_homography(), src) + rng.normal(0, 0.3, (n, 2)))
+    dst = apply_h(known_homography(), src) + rng.normal(0, 0.3, (n, 2))
+    angle = rng.uniform(0, 2 * np.pi, n - n_in)
+    dst[n_in:] += rng.uniform(20, 60, n - n_in)[:, None] * np.c_[np.cos(angle), np.sin(angle)]
+    return pair_set(src, dst), n_in
+
+
+def chunk_draws(rng, n, hypotheses):
+    """Advance `rng` as ransac_inliers does for `hypotheses` draws over n pairs."""
+    for start in range(0, hypotheses, CHUNK):
+        rng.random((min(CHUNK, hypotheses - start), n))
 
 
 class TestChunkedRansacMatchesSerial:
-    """Chunked hypotheses give the serial loop's result bit for bit and leave
-    a shared generator exactly where the serial loop leaves it."""
-
-    CASES = {
-        "outliers": (lambda s: noisy_pairs(s, 60, outlier_frac=0.4), {}),
-        "heavy_outliers": (lambda s: noisy_pairs(s, 24, outlier_frac=0.5), {}),
-        "collinear_samples": (lambda s: collinear_heavy_pairs(s, 24), {}),
-        "all_inliers_exit": (lambda s: noisy_pairs(s, 30, noise=0.0), {}),
-        "iteration_cap_50": (lambda s: noisy_pairs(s, 60, outlier_frac=0.8), {"max_iterations": 50}),
-        "cap_inside_a_chunk": (lambda s: noisy_pairs(s, 40, outlier_frac=0.8), {"max_iterations": 11}),
-        "min_sample_5": (lambda s: noisy_pairs(s, 40, outlier_frac=0.3), {"min_sample": 5}),
-    }
-
-    @staticmethod
-    def run_both(C, cfg, seed):
-        """(result, generator state) of the serial reference, then of ransac_inliers."""
-        def chunked(C, cfg, rng):
-            R = ransac_inliers(C, cfg, rng=rng)
-            return R.indices, R.model
-
-        outcomes = []
-        for ransac in (serial_ransac, chunked):
-            rng = np.random.default_rng([seed, 0x5C])
-            try:
-                result = ransac(C, cfg, rng)
-            except TooFewCorrespondences:
-                result = None
-            outcomes.append((result, rng.bit_generator.state))
-        return outcomes
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_same_inliers_model_and_generator_state(self, case):
-        make, overrides = self.CASES[case]
-        for seed in range(12):
-            C = make(seed)
-            cfg = RansacConfig(seed=seed, **overrides)
-            (ref, ref_state), (got, got_state) = self.run_both(C, cfg, seed)
-            assert got_state == ref_state
-            if ref is None:
-                assert got is None
-                continue
-            assert np.array_equal(got[0], ref[0])
-            assert np.array_equal(got[1], ref[1])
+    """Hypotheses are drawn a chunk at a time, one `rng.random((k, n))` call
+    per chunk, so a shared generator ends where drawing those chunks one
+    after another leaves it, and a fixed seed fixes every output byte."""
 
     def test_too_few_pairs_draws_nothing(self):
         C = noisy_pairs(0, 3)
-        (ref, ref_state), (got, got_state) = self.run_both(C, RansacConfig(), 0)
-        assert ref is None and got is None
-        assert got_state == ref_state == np.random.default_rng([0, 0x5C]).bit_generator.state
+        rng = np.random.default_rng([0, 0x5C])
+        with pytest.raises(TooFewCorrespondences):
+            ransac_inliers(C, RansacConfig(), rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng([0, 0x5C]).bit_generator.state
 
-    def test_no_consensus_raises_after_the_same_draws(self):
+    @pytest.mark.parametrize("min_sample", [4, 5])
+    def test_deterministic_for_a_fixed_seed(self, min_sample):
+        for seed in range(6):
+            C = noisy_pairs(seed, 60, outlier_frac=0.4)
+            cfg = RansacConfig(seed=seed, min_sample=min_sample)
+            runs = []
+            for _ in range(2):
+                rng = np.random.default_rng([seed, 0x5C])
+                R = ransac_inliers(C, cfg, rng=rng)
+                runs.append((R.indices.tobytes(), R.model.tobytes(), rng.bit_generator.state))
+            assert runs[0] == runs[1]
+            R = ransac_inliers(C, cfg)  # no generator: seeded from cfg.seed
+            assert R.model.tobytes() == ransac_inliers(C, cfg).model.tobytes()
+
+    @pytest.mark.parametrize("max_iterations", [1, 8, 11, 50])
+    def test_no_consensus_draws_max_iterations_hypotheses(self, max_iterations):
         src = np.c_[np.linspace(0, 300, 20), np.linspace(10, 200, 20)]  # one line
         C = pair_set(src, src + 3.0)
-        cfg = RansacConfig(max_iterations=50)
-        (ref, ref_state), (got, got_state) = self.run_both(C, cfg, 1)
-        assert ref is None and got is None
-        assert got_state == ref_state
+        rng = np.random.default_rng(1)
+        with pytest.raises(TooFewCorrespondences):
+            ransac_inliers(C, RansacConfig(max_iterations=max_iterations), rng=rng)
+        replay = np.random.default_rng(1)
+        chunk_draws(replay, len(C), max_iterations)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
-    def test_early_exit_leaves_generator_after_one_draw(self):
-        # all inliers: the first hypothesis ends the loop, inside the first chunk
-        assert CHUNK > 1
+    @pytest.mark.parametrize("max_iterations", [11, 50])
+    def test_iteration_cap_bounds_the_draws(self, max_iterations):
+        # 80% outliers: the confidence bound stays above the cap
+        C = noisy_pairs(3, 60, outlier_frac=0.8)
+        rng = np.random.default_rng(2)
+        try:
+            ransac_inliers(C, RansacConfig(max_iterations=max_iterations), rng=rng)
+        except TooFewCorrespondences:
+            pass
+        replay = np.random.default_rng(2)
+        chunk_draws(replay, len(C), max_iterations)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_all_inliers_stop_after_one_chunk(self):
         C = noisy_pairs(0, 30, noise=0.0)
         rng = np.random.default_rng(0)
-        ransac_inliers(C, RansacConfig(), rng=rng)
-        one_draw = np.random.default_rng(0)
-        one_draw.choice(30, size=4, replace=False)
-        assert rng.bit_generator.state == one_draw.bit_generator.state
+        R = ransac_inliers(C, RansacConfig(), rng=rng)
+        assert len(R) == 30
+        replay = np.random.default_rng(0)
+        chunk_draws(replay, 30, CHUNK)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+class TestOneSidedScore:
+    def test_pairs_mapped_behind_are_outliers(self):
+        src = np.random.default_rng(34).uniform(20, 300, (10, 2))
+        dst = apply_h(known_homography(), src)
+        H = np.stack([known_homography(), -known_homography()])
+        masks = matching._one_sided_inliers(H, src, dst, 0.5)
+        assert masks[0].all()  # every pair maps exactly, in front (w > 0)
+        assert not masks[1].any()  # the same map with w < 0
+
+    def test_threshold_is_the_forward_pixel_error(self):
+        src = np.random.default_rng(35).uniform(20, 300, (4, 2))
+        dst = apply_h(known_homography(), src)
+        dst[:, 0] += np.array([0.0, 1.99, 2.01, -3.0])
+        mask = matching._one_sided_inliers(2.0 * known_homography()[None], src, dst, 2.0)
+        assert mask[0].tolist() == [True, True, False, False]
+
+
+class TestMinimalFit:
+    def test_matches_full_svd_dlt_on_random_samples(self):
+        rng = np.random.default_rng(31)
+        src = rng.uniform(0, 320, (1600, 4, 2))
+        dst = rng.uniform(0, 320, (1600, 4, 2))
+        H, ok = _minimal_fit(src, dst)
+        for s, d, h, flag in zip(src, dst, H, ok):
+            ref = full_svd_fit(s, d)
+            assert flag == (ref is not None)
+            if ref is not None:
+                np.testing.assert_allclose(h / h[2, 2], ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+
+    def test_maps_the_sample_in_front(self):
+        src = np.random.default_rng(32).uniform(20, 300, (50, 4, 2))
+        dst = apply_h(known_homography(), src.reshape(-1, 2)).reshape(src.shape)
+        H, ok = _minimal_fit(src, dst)
+        assert ok.all()
+        q = np.einsum("kij,kpj->kpi", H, np.concatenate([src, np.ones((50, 4, 1))], axis=2))
+        assert np.all(q[..., 2] > 0)
+        np.testing.assert_allclose(q[:, 3, 2], 1.0)  # the fourth point maps with w = 1
+        np.testing.assert_allclose(q[..., :2] / q[..., 2:], dst, atol=1e-8)
+
+    @staticmethod
+    def flags_match(src, dst):
+        H, ok = _minimal_fit(src[None], dst[None])
+        assert ok[0] == (not (degenerate_sample(src) or degenerate_sample(dst)))
+        if not ok[0]:
+            assert not H.any()  # the zero model holds no pair
+        return ok[0]
+
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_degenerate_flags_match_the_area_test(self, side):
+        rng = np.random.default_rng(33)
+        spread = np.array([[10.0, 20.0], [250.0, 30.0], [40.0, 200.0], [280.0, 220.0]])
+        t = rng.uniform(0, 1, 4)
+        line = np.c_[20.0 + 200.0 * t, 30.0 + 100.0 * t]
+        three = spread.copy()
+        three[:3] = line[:3]
+        duplicated = spread.copy()
+        duplicated[3] = duplicated[1]
+        for pts in (line, three, duplicated):
+            src, dst = (pts, spread + 5.0) if side == "src" else (spread + 5.0, pts)
+            assert not self.flags_match(src, dst)
+        assert self.flags_match(spread, spread + 5.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 100.0])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_area_threshold_boundary(self, side, offset):
+        # the triangle of points 1-3 has area h / 2: exactly 1e-6 at h = 2e-6
+        h = 2e-6
+        other = np.array([[10.0, 20.0], [250.0, 30.0], [40.0, 200.0], [280.0, 220.0]])
+        flags = []
+        for height in (np.nextafter(h, 0.0), h, np.nextafter(h, 1.0), 0.99 * h, 1.01 * h):
+            pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, height], [50.0, 70.0]]) + offset
+            src, dst = (pts, other) if side == "src" else (other, pts)
+            flags.append(self.flags_match(src, dst))
+        if offset == 0.0:
+            assert flags == [False, True, True, False, True]
+
+
+class TestRansacConsensus:
+    @pytest.mark.parametrize("outlier_frac", [0.0, 0.2, 0.4, 0.6, 0.8])
+    def test_recovers_planted_inliers(self, outlier_frac, monkeypatch):
+        drawn = []
+        hypotheses = matching._hypotheses
+        monkeypatch.setattr(matching, "_hypotheses",
+                            lambda src, dst, s: drawn.append(len(s)) or hypotheses(src, dst, s))
+        for seed in range(5):
+            drawn.clear()
+            C, n_in = planted_pairs(seed, 50, outlier_frac)
+            cfg = RansacConfig(max_iterations=5000, seed=seed)
+            R = ransac_inliers(C, cfg)
+            assert np.array_equal(R.indices, np.arange(n_in))
+            # the returned model is a local refit (scaled to H[2, 2] = 1), not
+            # a hypothesis (scaled so that its fourth point maps with w = 1)
+            assert R.model[2, 2] == 1.0
+            # the confidence bound of the planted fraction ends the loop
+            w = n_in / len(C)
+            needed = 1 if w == 1 else np.ceil(np.log1p(-cfg.confidence) / np.log1p(-w**4))
+            assert sum(drawn) <= CHUNK * np.ceil(needed / CHUNK)
+
+    @pytest.mark.parametrize("min_sample", [4, 5])
+    def test_pixel_origin_behind_the_model(self, min_sample):
+        # w = 0.01 x - 0.5 is positive over the pairs but negative at (0, 0):
+        # a hypothesis scaled to H[2, 2] = 1 would map every pair behind
+        H = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, -3.0], [0.01, 0.0, -0.5]])
+        src = np.random.default_rng(36).uniform([100.0, 20.0], [300.0, 300.0], (30, 2))
+        C = pair_set(src, apply_h(H, src))
+        assert len(ransac_inliers(C, RansacConfig(min_sample=min_sample))) == 30
+
+    def test_min_sample_5(self):
+        for seed in range(5):
+            C, n_in = planted_pairs(seed, 40, 0.3)
+            cfg = RansacConfig(min_sample=5, seed=seed)
+            R = ransac_inliers(C, cfg)
+            assert np.array_equal(R.indices, np.arange(n_in))
+            resid = symmetric_transfer_error(R.model, R.current_pixels, R.target_pixels)
+            assert np.all(resid <= cfg.inlier_threshold)
+
+    @pytest.mark.parametrize(
+        "refit",
+        [
+            lambda src, dst: None,  # degenerate
+            # a 500 px shift keeps no pair
+            lambda src, dst: np.array([[1.0, 0.0, 500.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ],
+        ids=["degenerate", "keeps_none"],
+    )
+    def test_failed_refit_keeps_the_hypothesis(self, monkeypatch, refit):
+        monkeypatch.setattr(matching, "fit_homography", refit)
+        C, n_in = planted_pairs(4, 40, 0.4)
+        cfg = RansacConfig(seed=4)
+        R = ransac_inliers(C, cfg)
+        assert len(R) >= cfg.min_sample
+        assert set(R.indices.tolist()) <= set(range(n_in))
+        resid = symmetric_transfer_error(R.model, R.current_pixels, R.target_pixels)
+        assert np.all(resid <= cfg.inlier_threshold)
 
 
 class TestHomography:

@@ -1,0 +1,152 @@
+"""Run the benchmark on a parent checkout and on this one, in alternating
+pairs, and write every pair and the medians to a BENCH file.
+
+    python3 tools/bench_pair.py --parent DIR --pr N [--workload W ...]
+        [--seeds 1-10] [--seconds 30] [--trace 0] [--out BENCH_N.json]
+
+DIR is a checkout of the parent commit (made with `git clone` or
+`git archive`). For each workload and each seed, `bench/run.py` runs once in
+DIR and once in this checkout, each from its own root, one after the other;
+odd pairs run the parent first and even pairs the change first. The output
+holds each run's metrics and exit code, and per end-to-end metric of
+`BENCHMARK.json` the median and quartiles of each side and how many pairs
+the change won, lost and tied. A run that fails its checks is kept in the
+file and counted under `failed_runs`. Each side is named by its git
+revision, with `-dirty` when its tree has uncommitted changes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}}
+    metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
+    return {"exit": proc.returncode, "correct": bool(result.get("correct")), "metrics": metrics}
+
+
+def revision(root: Path) -> str:
+    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                          cwd=root, capture_output=True, text=True)
+    return proc.stdout.strip() or "unknown"
+
+
+def machine() -> str:
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            names = [line.split(":", 1)[1].strip() for line in f if line.startswith("model name")]
+        cpu = names[0] if names else cpu
+    except OSError:
+        pass
+    return f"{cpu}, {os.cpu_count()} logical CPUs, Python {platform.python_version()}"
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 3 if values else []
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return [q1, q2, q3]
+
+
+def summarize(pairs: list[dict], directions: dict) -> dict:
+    summary = {}
+    for name, better in directions.items():
+        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
+                if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+        if not both:
+            continue
+        sign = -1.0 if better == "lower" else 1.0
+        won = sum(sign * (c - a) > 0 for a, c in both)
+        lost = sum(sign * (c - a) < 0 for a, c in both)
+        parent_q = quartiles([a for a, _ in both])
+        change_q = quartiles([c for _, c in both])
+        summary[name] = {
+            "better": better,
+            "pairs": len(both),
+            "parent_median": parent_q[1],
+            "change_median": change_q[1],
+            "parent_quartiles": [parent_q[0], parent_q[2]],
+            "change_quartiles": [change_q[0], change_q[2]],
+            "change_won": won,
+            "change_lost": lost,
+            "ties": len(both) - won - lost,
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    p.add_argument("--pr", required=True, type=int, help="N of the output name BENCH_<N>.json")
+    p.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
+    p.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,5")
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in this checkout")
+    args = p.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.trace:
+        directions = {m["name"]: m["better"] for m in spec["per_layer"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    parent = args.parent.resolve()
+    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+
+    report = {
+        "pr": args.pr,
+        "parent": revision(parent),
+        "change": revision(ROOT),
+        "command": f"bench/run.py --seconds {args.seconds:g} --trace {args.trace}",
+        "machine": machine(),
+        "workloads": {},
+    }
+    for workload in workloads:
+        pairs = []
+        for i, seed in enumerate(parse_seeds(args.seeds)):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                root = parent if side == "parent" else ROOT
+                pair[side] = run_bench(root, workload, seed, args.seconds, args.trace)
+            pairs.append(pair)
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{side} {pair[side]['metrics'].get('cycle_ms_p50', float('nan')):.3f} ms"
+                for side in ("parent", "change")), file=sys.stderr)
+        report["workloads"][workload] = {
+            "failed_runs": sum(not p[s]["correct"] for p in pairs for s in ("parent", "change")),
+            "summary": summarize(pairs, directions),
+            "pairs": pairs,
+        }
+        out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
