@@ -3,18 +3,14 @@
 from .control import (
     ControlConfig,
     control_law,
-    feature_error,
-    point_interaction_matrix,
     pseudo_inverse,
     stack_interaction,
 )
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
-    read_features,
     synthetic_detect,
     top_k,
-    write_features,
 )
 from .geometry import (
     CameraIntrinsics,

@@ -82,7 +82,7 @@ def _cmd_accuracy(args) -> int:
     goals = default_goal_poses(cfg["run"]["camera_distance"], acc["goals"])
     starts = default_start_offsets(cfg)
     base = build_run_config(cfg)
-    records = run_accuracy_suite(scenes, goals, starts, base, seed=cfg["seed"])
+    records, _ = run_accuracy_suite(scenes, goals, starts, base, seed=cfg["seed"])
     write_accuracy_csv(records, out / "accuracy.csv")
     agg = aggregate_accuracy(records)
     with open(out / "accuracy_summary.json", "w") as f:
@@ -101,7 +101,7 @@ def _cmd_batch(args) -> int:
     base = build_run_config(cfg)
     results = []
     for spec in batch_specs(cfg):
-        results.extend(run_batch_suite(spec, scene, base, seed=cfg["seed"]))
+        results.extend(run_batch_suite(spec, scene, base, seed=cfg["seed"])[0])
     write_batch_csv(results, out / "batch.csv")
     for r in results:
         tag = "clutter" if r.clutter else "clean"

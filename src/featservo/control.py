@@ -1,5 +1,5 @@
-"""Classical IBVS control law: feature error, stacked interaction matrix,
-SVD pseudo-inverse, and the commanded camera twist.
+"""Classical IBVS control law: stacked interaction matrix, SVD
+pseudo-inverse, and the commanded camera twist.
 
 Feature vectors are flat (x1, y1, ..., xk, yk) in normalized image-plane
 coordinates; depth vectors carry one entry per feature point.
@@ -30,31 +30,10 @@ class ControlConfig:
             raise ValueError("gain must be positive")
         if self.svd_tolerance < 0:
             raise ValueError("svd_tolerance must be non-negative")
-        if self.max_twist is not None and len(self.max_twist) != 6:
-            raise ValueError("max_twist must have 6 components")
-
-
-def feature_error(s: np.ndarray, s_star: np.ndarray) -> np.ndarray:
-    """Elementwise error between current and target feature vectors."""
-    s = np.asarray(s, dtype=float).reshape(-1)
-    s_star = np.asarray(s_star, dtype=float).reshape(-1)
-    if s.shape != s_star.shape:
-        raise DimensionMismatch(f"feature vectors disagree: {s.shape} vs {s_star.shape}")
-    if s.size % 2 != 0:
-        raise DimensionMismatch("feature vector length must be even")
-    return s - s_star
-
-
-def point_interaction_matrix(x: float, y: float, Z: float) -> np.ndarray:
-    """2x6 Jacobian of one normalized point feature w.r.t. the camera twist."""
-    if Z <= 0:
-        raise NonPositiveDepth(f"feature depth {Z} <= 0")
-    return np.array(
-        [
-            [-1.0 / Z, 0.0, x / Z, x * y, -(1.0 + x * x), y],
-            [0.0, -1.0 / Z, y / Z, 1.0 + y * y, -x * y, -x],
-        ]
-    )
+        if self.max_twist is not None and not (
+            len(self.max_twist) == 6 and all(isinstance(v, (int, float)) for v in self.max_twist)
+        ):
+            raise ValueError("max_twist must have 6 numeric components")
 
 
 def stack_interaction(s: np.ndarray, depths: np.ndarray) -> np.ndarray:

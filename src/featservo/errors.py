@@ -17,14 +17,6 @@ class InsufficientFeatures(FeatServoError):
     """Fewer than 3 correspondences: the twist is unconstrained (2k < 6)."""
 
 
-class ParseError(FeatServoError):
-    """Malformed feature-exchange record; message carries line/field info."""
-
-
-class SchemaVersionMismatch(FeatServoError):
-    """Feature file written with an unsupported schema version."""
-
-
 class TooFewCorrespondences(FeatServoError):
     """Not enough pairs to seed the robust model fit."""
 

@@ -115,9 +115,9 @@ def run_accuracy_suite(
     start_offsets: list[Pose],
     base_cfg: ServoRunConfig,
     seed: int = 0,
-    keep_traces: bool = False,
 ):
-    """Run every (scene, goal, start) combination and report AVG1/AVG2.
+    """Run every (scene, goal, start) combination and report AVG1/AVG2;
+    returns (records, traces) in run order.
 
     AVG2 verification uses simulator landmark ids: a final pair counts only
     when the matched current and target keypoints come from the same
@@ -136,9 +136,8 @@ def run_accuracy_suite(
                 records.append(
                     AccuracyRecord(si, gi, ti, trace.status, len(trace), avg1, avg2)
                 )
-                if keep_traces:
-                    traces.append(trace)
-    return (records, traces) if keep_traces else records
+                traces.append(trace)
+    return records, traces
 
 
 def aggregate_accuracy(records) -> dict:
@@ -205,12 +204,11 @@ def run_batch_suite(
     scene: Scene,
     base_cfg: ServoRunConfig,
     seed: int = 0,
-    keep_traces: bool = False,
 ):
     """Per band: fraction of trials that converge below the success threshold.
 
     Each trial is seeded from (seed, band, trial) alone; trials run in
-    (band, trial) order.
+    (band, trial) order. Returns (results, traces), traces in that order.
     """
     work_scene = scene if spec.clutter else scene.without_clutter()
     traces = [
@@ -232,7 +230,7 @@ def run_batch_suite(
                 statuses=statuses,
             )
         )
-    return (results, traces) if keep_traces else results
+    return results, traces
 
 
 # ---------------------------------------------------------------------------

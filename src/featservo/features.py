@@ -1,21 +1,16 @@
-"""Feature-set data model, a synthetic oracle detector over landmark
-scenes, and the feature-exchange file format used to plug in external
-learned detectors.
+"""Feature-set data model and a synthetic oracle detector over landmark
+scenes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaVersionMismatch
 from .geometry import CameraIntrinsics, Pose, project_many
 
 DESCRIPTOR_DIM = 256
-_FORMAT_VERSION = 1
-_FLOAT_FMT = "%.17g"  # exact float64 round trip
 
 
 class FeatureSet:
@@ -251,88 +246,3 @@ def top_k(fs: FeatureSet, k: int) -> FeatureSet:
         return fs
     order = _order_by_score(fs.pixels, fs.scores)
     return fs.subset(order[:k])
-
-
-def write_features(fs: FeatureSet, sink) -> None:
-    """Serialize a FeatureSet as versioned, self-describing text."""
-    own = isinstance(sink, (str, Path))
-    f = open(sink, "w") if own else sink
-    try:
-        has_depths = 1 if fs.depths is not None else 0
-        d = fs.descriptor_dim
-        f.write(
-            f"featureset v{_FORMAT_VERSION} d={d} width={fs.image_size[0]} "
-            f"height={fs.image_size[1]} count={len(fs)} depths={has_depths}\n"
-        )
-        for i in range(len(fs)):
-            parts = [
-                _FLOAT_FMT % fs.pixels[i, 0],
-                _FLOAT_FMT % fs.pixels[i, 1],
-                _FLOAT_FMT % fs.scores[i],
-            ]
-            if has_depths:
-                parts.append(_FLOAT_FMT % fs.depths[i])
-            parts.extend(_FLOAT_FMT % v for v in fs.descriptors[i])
-            f.write(" ".join(parts) + "\n")
-    finally:
-        if own:
-            f.close()
-
-
-def _parse_header(line: str) -> dict:
-    tokens = line.split()
-    if len(tokens) != 7 or tokens[0] != "featureset":
-        raise ParseError(f"line 1: bad header {line!r}")
-    if tokens[1] != f"v{_FORMAT_VERSION}":
-        raise SchemaVersionMismatch(f"unsupported feature file version {tokens[1]!r}")
-    out = {}
-    for i, (token, key) in enumerate(
-        zip(tokens[2:], ("d", "width", "height", "count", "depths")), start=3
-    ):
-        name, _, value = token.partition("=")
-        if name != key:
-            raise ParseError(f"line 1, field {i}: expected {key}=..., got {token!r}")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise ParseError(f"line 1, field {i}: non-integer {value!r}") from None
-    return out
-
-
-def read_features(source) -> FeatureSet:
-    """Parse a feature file; inverse of write_features."""
-    own = isinstance(source, (str, Path))
-    f = open(source, "r") if own else source
-    try:
-        header_line = f.readline()
-        if not header_line:
-            raise ParseError("line 1: empty file")
-        hdr = _parse_header(header_line.rstrip("\n"))
-        d, count, has_depths = hdr["d"], hdr["count"], hdr["depths"]
-        per_line = 3 + has_depths + d
-        rows = np.zeros((count, per_line))
-        for i in range(count):
-            line = f.readline()
-            if not line:
-                raise ParseError(f"line {i + 2}: truncated record, expected {count} keypoints")
-            fields = line.split()
-            if len(fields) != per_line:
-                raise ParseError(f"line {i + 2}: expected {per_line} fields, got {len(fields)}")
-            try:
-                rows[i] = [float(v) for v in fields]
-            except ValueError as exc:
-                raise ParseError(f"line {i + 2}: {exc}") from None
-        depths = rows[:, 3] if has_depths else None
-        try:
-            return FeatureSet(
-                rows[:, 0:2],
-                rows[:, 3 + has_depths :],
-                rows[:, 2],
-                (hdr["width"], hdr["height"]),
-                depths=depths,
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    finally:
-        if own:
-            f.close()

@@ -9,7 +9,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class Pose:
         T[:3, :3] = self.rotation
         T[:3, 3] = self.translation
         return T
-
-    @staticmethod
-    def from_matrix(T) -> "Pose":
-        T = np.asarray(T, dtype=float)
-        return Pose(T[:3, :3], T[:3, 3])
 
     def to_flat(self) -> list[float]:
         """12-number serialization: row-major rotation then translation."""

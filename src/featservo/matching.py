@@ -30,8 +30,8 @@ class RansacConfig:
     def __post_init__(self):
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
         if not isinstance(self.min_sample, int) or self.min_sample < 4:
@@ -219,33 +219,25 @@ def fit_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
 
 
 def _apply_homography(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    q = pts @ H[..., :2].swapaxes(-1, -2) + H[..., None, :, 2]
-    w = q[..., 2]
+    q = pts @ H[:, :2].T + H[:, 2]
+    w = q[:, 2]
     bad = np.abs(w) < 1e-12
     w = np.where(bad, 1e-12, w)
-    out = q[..., :2] / w[..., None]
+    out = q[:, :2] / w[:, None]
     out[bad] = np.inf
     return out
 
 
-def _transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Symmetric transfer error of every pair under each of a stack of
-    (..., 3, 3) models; a singular model scores inf on every pair."""
+def symmetric_transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per-pair symmetric transfer error in pixels; a singular model scores
+    inf on every pair."""
     try:
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError:
-        if H.ndim == 2:
-            return np.full(src.shape[0], np.inf)
-        # one singular model fails the stacked inverse; score them one by one
-        return np.stack([_transfer_error(h, src, dst) for h in H])
+        return np.full(src.shape[0], np.inf)
     fwd = _apply_homography(H, src) - dst
     bwd = _apply_homography(Hinv, dst) - src
-    return np.sqrt(np.sum(fwd**2, axis=-1) + np.sum(bwd**2, axis=-1))
-
-
-def symmetric_transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Per-pair symmetric transfer error in pixels."""
-    return _transfer_error(H, src, dst)
+    return np.sqrt(np.sum(fwd**2, axis=1) + np.sum(bwd**2, axis=1))
 
 
 def _hypotheses(src, dst, samples):

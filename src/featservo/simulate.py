@@ -38,7 +38,6 @@ from .matching import (
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=160.0, cy=120.0, width=320, height=240)
 
-_SCENE_SCHEMA = "featservo_scene_v1"
 _INSUFFICIENT_LIMIT = 10  # consecutive starved cycles before giving up
 
 
@@ -46,10 +45,9 @@ class Scene:
     """3D landmark world: object landmarks (rendered in target views) plus
     clutter landmarks visible only in current views.
 
-    Canonical descriptors are regenerated deterministically from the seed,
-    so serialization stores only geometry and the seed. Points, descriptors
-    and ids live in one read-only table, object rows first; the per-group
-    attributes are row views of it.
+    Canonical descriptors are generated deterministically from the seed.
+    Points, descriptors and ids live in one read-only table, object rows
+    first; the per-group attributes are row views of it.
     """
 
     def __init__(
@@ -126,41 +124,6 @@ class Scene:
         vars(scene).update(vars(self))
         scene._set_table(self.object_points, self.object_descriptors, self.n_object)
         return scene
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": _SCENE_SCHEMA,
-            "seed": self.seed,
-            "descriptor_dim": self.descriptor_dim,
-            "max_incidence_deg": self.max_incidence_deg,
-            "object_points": self.object_points.tolist(),
-            "object_normals": None
-            if self.object_normals is None
-            else self.object_normals.tolist(),
-            "clutter_points": self.clutter_points.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Scene":
-        if data.get("schema") != _SCENE_SCHEMA:
-            raise ValueError(f"unsupported scene schema {data.get('schema')!r}")
-        return Scene(
-            np.asarray(data["object_points"]),
-            np.asarray(data["clutter_points"]),
-            data["seed"],
-            None if data.get("object_normals") is None else np.asarray(data["object_normals"]),
-            data.get("max_incidence_deg"),
-            data.get("descriptor_dim", 256),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
-
-    @staticmethod
-    def load(path) -> "Scene":
-        with open(path) as f:
-            return Scene.from_dict(json.load(f))
 
 
 def _clutter_shell(rng: np.random.Generator, n: int, shell: tuple[float, float]) -> np.ndarray:
@@ -267,10 +230,16 @@ class ServoRunConfig:
     use_current_interaction: bool = False  # diagnostic: true L(s, Z) each cycle
 
     def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        if not isinstance(self.tracking_threshold, (int, float)):
+            raise ValueError("tracking_threshold must be a number")
         if self.success_threshold <= 0:
             raise ValueError("success_threshold must be positive")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be >= 1")
+        if not isinstance(self.max_cycles, int) or self.max_cycles < 1:
+            raise ValueError("max_cycles must be an integer >= 1")
+        if not isinstance(self.top_k, int) or self.top_k < 0:
+            raise ValueError("top_k must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -292,7 +261,7 @@ class CycleRecord:
 @dataclass(frozen=True)
 class ServoTrace:
     records: list
-    status: str  # Converged | MaxCycles | TrackingLost | InsufficientFeatures
+    status: str  # Converged | MaxCycles | InsufficientFeatures
 
     @property
     def final_pose(self) -> Pose:

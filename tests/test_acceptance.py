@@ -92,7 +92,7 @@ def batch_outcome():
     )
     base = ServoRunConfig(target_pose=TARGET, initial_pose=TARGET, detector=NOISY)
     start = time.perf_counter()
-    results, traces = run_batch_suite(spec, scene, base, seed=0, keep_traces=True)
+    results, traces = run_batch_suite(spec, scene, base, seed=0)
     return results, traces, time.perf_counter() - start
 
 
@@ -110,8 +110,7 @@ def _accuracy_grid(detector: SyntheticDetectorConfig, success_threshold: float,
         max_cycles=max_cycles,
     )
     start = time.perf_counter()
-    records, traces = run_accuracy_suite(scenes, goals, starts, base, seed=0,
-                                         keep_traces=True)
+    records, traces = run_accuracy_suite(scenes, goals, starts, base, seed=0)
     return records, traces, time.perf_counter() - start
 
 

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from featservo.control import (
     ControlConfig,
     control_law,
-    feature_error,
-    point_interaction_matrix,
     pseudo_inverse,
     stack_interaction,
 )
@@ -20,41 +15,27 @@ from featservo.errors import (
 from featservo.geometry import Pose, compose, pixel_to_normalized, project, se3_exp
 
 
-class TestFeatureError:
-    def test_zero_at_target(self):
-        s = np.array([0.1, -0.2, 0.3, 0.4])
-        assert np.all(feature_error(s, s) == 0)
-
-    def test_componentwise_subtraction(self):
-        e = feature_error([0.1, 0.2], [0.05, 0.2])
-        assert np.allclose(e, [0.05, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            feature_error([0.1, 0.2], [0.1, 0.2, 0.3, 0.4])
-
-    @given(arrays(np.float64, 8, elements=st.floats(-10, 10)),
-           arrays(np.float64, 8, elements=st.floats(-10, 10)))
-    @settings(max_examples=50)
-    def test_algebraic_identity(self, s, s_star):
-        # exact up to one float rounding of the subtraction
-        assert np.allclose(feature_error(s, s_star) + s_star, s, rtol=0, atol=1e-13)
+def point_block(x, y, Z):
+    """2x6 interaction matrix of one normalized point at depth Z, written out
+    entry by entry: the oracle for stack_interaction's per-point rows."""
+    return np.array(
+        [
+            [-1.0 / Z, 0.0, x / Z, x * y, -(1.0 + x * x), y],
+            [0.0, -1.0 / Z, y / Z, 1.0 + y * y, -x * y, -x],
+        ]
+    )
 
 
 class TestPointInteractionMatrix:
     def test_image_center_unit_depth(self):
-        L = point_interaction_matrix(0.0, 0.0, 1.0)
+        L = stack_interaction([0.0, 0.0], [1.0])
         assert np.allclose(L[0], [-1, 0, 0, 0, -1, 0])
         assert np.allclose(L[1], [0, -1, 0, 1, 0, 0])
 
     def test_direct_substitution(self):
-        L = point_interaction_matrix(0.05, 0.0, 2.0)
+        L = stack_interaction([0.05, 0.0], [2.0])
         assert np.allclose(L[0], [-0.5, 0, 0.025, 0, -1.0025, 0])
         assert np.allclose(L[1], [0, -0.5, 0, 1, 0, -0.05])
-
-    def test_nonpositive_depth(self):
-        with pytest.raises(NonPositiveDepth):
-            point_interaction_matrix(0.1, 0.1, 0.0)
 
     def test_columns_match_finite_differences(self, intrinsics):
         # each column is the feature-velocity under the matching unit twist
@@ -63,7 +44,7 @@ class TestPointInteractionMatrix:
         for _ in range(50):
             x, y = rng.uniform(-0.2, 0.2, 2)
             Z = rng.uniform(0.1, 5.0)
-            L = point_interaction_matrix(x, y, Z)
+            L = stack_interaction([x, y], [Z])
             point_world = np.array([x * Z, y * Z, Z])  # camera at identity
             for col in range(6):
                 xi = np.zeros(6)
@@ -80,7 +61,7 @@ class TestStackInteraction:
     def test_single_point_matches_block(self):
         s = np.array([0.1, -0.05])
         L = stack_interaction(s, [1.5])
-        assert np.allclose(L, point_interaction_matrix(0.1, -0.05, 1.5))
+        assert np.allclose(L, point_block(0.1, -0.05, 1.5))
 
     def test_three_point_block_layout(self):
         rng = np.random.default_rng(8)
@@ -89,7 +70,7 @@ class TestStackInteraction:
         L = stack_interaction(s, Z)
         assert L.shape == (6, 6)
         for i in range(3):
-            block = point_interaction_matrix(s[2 * i], s[2 * i + 1], Z[i])
+            block = point_block(s[2 * i], s[2 * i + 1], Z[i])
             assert np.allclose(L[2 * i : 2 * i + 2], block)
 
     def test_noncollinear_points_give_rank_six(self):

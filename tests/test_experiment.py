@@ -84,15 +84,15 @@ class TestAccuracySuite:
     def test_grid_shape_and_determinism(self, scene, base_cfg, target_pose):
         goals = [target_pose]
         starts = [se3_exp([0.005, 0, 0, 0, 0, 0]), se3_exp([0, 0.005, 0, 0, 0.01, 0])]
-        a = run_accuracy_suite([scene], goals, starts, base_cfg, seed=3)
-        b = run_accuracy_suite([scene], goals, starts, base_cfg, seed=3)
+        a, _ = run_accuracy_suite([scene], goals, starts, base_cfg, seed=3)
+        b, _ = run_accuracy_suite([scene], goals, starts, base_cfg, seed=3)
         assert len(a) == 2
         assert a == b
         assert all(r.status == "Converged" for r in a)
 
     def test_aggregate_excludes_non_converged(self, scene, base_cfg, target_pose):
         starts = [se3_exp([0.005, 0, 0, 0, 0, 0])]
-        records = run_accuracy_suite(
+        records, _ = run_accuracy_suite(
             [scene], [target_pose], starts, replace(base_cfg, max_cycles=2), seed=0
         )
         assert records[0].status == "MaxCycles"
@@ -102,9 +102,7 @@ class TestAccuracySuite:
 
     def test_avg2_uses_only_true_pairs(self, scene, base_cfg, target_pose):
         starts = [se3_exp([0.004, -0.003, 0, 0, 0, 0.01])]
-        records, traces = run_accuracy_suite(
-            [scene], [target_pose], starts, base_cfg, seed=1, keep_traces=True
-        )
+        records, traces = run_accuracy_suite([scene], [target_pose], starts, base_cfg, seed=1)
         rec, trace = records[0], traces[0]
         last = trace.records[-1]
         assert rec.avg1 == pytest.approx(np.mean(last.pair_errors))
@@ -112,7 +110,7 @@ class TestAccuracySuite:
         assert rec.avg2 <= rec.avg1 + 1e-12
 
     def test_csv_output(self, scene, base_cfg, target_pose, tmp_path):
-        records = run_accuracy_suite(
+        records, _ = run_accuracy_suite(
             [scene], [target_pose], [se3_exp([0.003, 0, 0, 0, 0, 0])], base_cfg
         )
         path = tmp_path / "acc.csv"
@@ -126,7 +124,7 @@ class TestBatchSuite:
     def test_counts_match_statuses(self, scene, base_cfg):
         spec = BatchSpec(bands_cm=((0.0, 1.0), (1.0, 2.0)), rotation_bounds_deg=(3, 3, 3),
                          trials=3)
-        results = run_batch_suite(spec, scene, base_cfg, seed=0)
+        results, _ = run_batch_suite(spec, scene, base_cfg, seed=0)
         assert len(results) == 2
         for r in results:
             assert r.trials == 3
@@ -136,7 +134,7 @@ class TestBatchSuite:
     def test_clutter_flag_strips_clutter(self, scene, base_cfg):
         spec = BatchSpec(bands_cm=((0.0, 1.0),), rotation_bounds_deg=(2, 2, 2), trials=2,
                          clutter=False)
-        _, traces = run_batch_suite(spec, scene, base_cfg, seed=0, keep_traces=True)
+        _, traces = run_batch_suite(spec, scene, base_cfg, seed=0)
         clutter_ids = set(int(i) for i in scene.clutter_ids)
         for trace in traces:
             for rec in trace.records:
@@ -144,7 +142,7 @@ class TestBatchSuite:
 
     def test_csv_output(self, scene, base_cfg, tmp_path):
         spec = BatchSpec(bands_cm=((0.0, 1.0),), rotation_bounds_deg=(2, 2, 2), trials=2)
-        results = run_batch_suite(spec, scene, base_cfg, seed=0)
+        results, _ = run_batch_suite(spec, scene, base_cfg, seed=0)
         path = tmp_path / "batch.csv"
         write_batch_csv(results, path)
         lines = path.read_text().splitlines()
@@ -398,6 +396,13 @@ class TestCli:
             ({"accuracy": {"goals": 5}}, "accuracy"),
             ({"accuracy": {"rotation_deg": [6.0, 6.0]}}, "accuracy"),
             ({"ransac": {"min_sample": 3}}, "run"),
+            ({"servo": {"top_k": -1}}, "run"),
+            ({"servo": {"top_k": 2.5}}, "run"),
+            ({"servo": {"dt": 0}}, "run"),
+            ({"servo": {"max_cycles": 2.5}}, "run"),
+            ({"servo": {"tracking_threshold": "x"}}, "run"),
+            ({"ransac": {"max_iterations": 2.5}}, "run"),
+            ({"control": {"max_twist": [1, 1, 1, 1, 1, "x"]}}, "run"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):

@@ -1,12 +1,6 @@
-import io
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from featservo.errors import ParseError, SchemaVersionMismatch
 from featservo.features import (
     FeatureSet,
     SyntheticDetectorConfig,
@@ -14,23 +8,11 @@ from featservo.features import (
     _order_by_score,
     _visible,
     landmark_scores,
-    read_features,
     synthetic_detect,
     top_k,
-    write_features,
 )
 from featservo.geometry import Pose, project, se3_exp
 from featservo.simulate import Scene, make_box_scene
-
-
-def to_text(fs):
-    buf = io.StringIO()
-    write_features(fs, buf)
-    return buf.getvalue()
-
-
-def from_text(text):
-    return read_features(io.StringIO(text))
 
 
 def unit_descriptors(n, d=16, seed=0):
@@ -309,110 +291,6 @@ class TestTopK:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             top_k(make_set(2), -1)
-
-
-class TestFeatureFile:
-    def test_round_trip_bit_for_bit(self):
-        fs = make_set(7, seed=11, with_depths=True)
-        out = from_text(to_text(fs))
-        assert np.array_equal(out.pixels, fs.pixels)
-        assert np.array_equal(out.descriptors, fs.descriptors)
-        assert np.array_equal(out.scores, fs.scores)
-        assert np.array_equal(out.depths, fs.depths)
-        assert out.image_size == fs.image_size
-
-    def test_round_trip_without_depths(self):
-        fs = make_set(3, seed=12)
-        out = from_text(to_text(fs))
-        assert out.depths is None
-        assert np.array_equal(out.descriptors, fs.descriptors)
-
-    def test_path_round_trip(self, tmp_path):
-        fs = make_set(4, seed=13, with_depths=True)
-        path = tmp_path / "features.txt"
-        write_features(fs, path)
-        out = read_features(path)
-        assert np.array_equal(out.pixels, fs.pixels)
-
-    def test_truncated_record(self):
-        text = to_text(make_set(5, seed=14))
-        truncated = "\n".join(text.splitlines()[:-2]) + "\n"
-        with pytest.raises(ParseError, match="truncated"):
-            from_text(truncated)
-
-    def test_wrong_field_count(self):
-        lines = to_text(make_set(2, seed=15)).splitlines()
-        lines[1] = lines[1] + " 0.5"
-        with pytest.raises(ParseError, match="fields"):
-            from_text("\n".join(lines) + "\n")
-
-    def test_version_mismatch(self):
-        text = to_text(make_set(2, seed=16)).replace("featureset v1", "featureset v9")
-        with pytest.raises(SchemaVersionMismatch):
-            from_text(text)
-
-    def test_bad_header(self):
-        with pytest.raises(ParseError, match="header"):
-            from_text("not a featureset\n")
-
-    def test_empty_file(self):
-        with pytest.raises(ParseError):
-            read_features(io.StringIO(""))
-
-    def test_non_numeric_field(self):
-        lines = to_text(make_set(2, seed=17)).splitlines()
-        parts = lines[1].split()
-        parts[0] = "abc"
-        lines[1] = " ".join(parts)
-        with pytest.raises(ParseError, match="line 2"):
-            from_text("\n".join(lines) + "\n")
-
-    def test_nan_record_rejected(self):
-        header = "featureset v1 d=1 width=320 height=240 count=1 depths=1\n"
-        with pytest.raises(ParseError, match="bounds"):
-            from_text(header + "nan 5 nan nan 1\n")
-
-
-def _finite(lo, hi, **kw):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
-
-
-@st.composite
-def feature_sets(draw):
-    n = draw(st.integers(1, 6))
-    d = draw(st.integers(1, 5))
-    w, h = draw(st.integers(1, 4000)), draw(st.integers(1, 4000))
-    pixels = np.stack(
-        [
-            draw(arrays(float, n, elements=_finite(0.0, w, exclude_max=True))),
-            draw(arrays(float, n, elements=_finite(0.0, h, exclude_max=True))),
-        ],
-        axis=1,
-    )
-    raw = draw(arrays(float, (n, d), elements=_finite(-1e3, 1e3)))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    raw[norms[:, 0] < 1e-3, 0] = 1.0  # keep every row normalisable
-    descriptors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    scores = draw(arrays(float, n, elements=_finite(0.0, 1.0)))
-    depths = None
-    if draw(st.booleans()):
-        depths = draw(arrays(float, n, elements=_finite(0.0, 1e300, exclude_min=True)))
-    return FeatureSet(pixels, descriptors, scores, (w, h), depths=depths)
-
-
-class TestFeatureFileProperty:
-    @given(feature_sets())
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_is_bit_exact(self, fs):
-        out = from_text(to_text(fs))
-        assert out.image_size == fs.image_size
-        for name in ("pixels", "descriptors", "scores"):
-            a, b = getattr(out, name), getattr(fs, name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        if fs.depths is None:
-            assert out.depths is None
-        else:
-            assert out.depths.tobytes() == fs.depths.tobytes()
 
 
 class TestDescriptorSeparation:

@@ -46,16 +46,6 @@ class TestScene:
         assert np.array_equal(a.object_descriptors, b.object_descriptors)
         assert not np.array_equal(a.object_points, make_box_scene(seed=5).object_points)
 
-    def test_save_load_round_trip(self, box_scene, tmp_path):
-        path = tmp_path / "scene.json"
-        box_scene.save(path)
-        loaded = Scene.load(path)
-        assert np.array_equal(loaded.object_points, box_scene.object_points)
-        assert np.array_equal(loaded.clutter_points, box_scene.clutter_points)
-        # descriptors regenerate from the stored seed
-        assert np.array_equal(loaded.object_descriptors, box_scene.object_descriptors)
-        assert np.array_equal(loaded.clutter_descriptors, box_scene.clutter_descriptors)
-
     def test_planar_scene_is_planar(self):
         scene = make_planar_scene(seed=2)
         assert np.all(scene.object_points[:, 2] == 0.0)

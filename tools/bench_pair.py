@@ -10,8 +10,9 @@ DIR and once in this checkout, each from its own root, one after the other;
 odd pairs run the parent first and even pairs the change first. The output
 holds each run's metrics and exit code, and per end-to-end metric of
 `BENCHMARK.json` the median and quartiles of each side and how many pairs
-the change won, lost and tied. A run that fails its checks is kept in the
-file and counted under `failed_runs`. Each side is named by its git
+the change won, lost and tied. A run that exits non-zero or fails its
+checks is kept in `pairs` and counted under `failed_runs`, its pair is left
+out of the summary, and the script exits 1. Each side is named by its git
 revision, with `-dirty` when its tree has uncommitted changes.
 """
 
@@ -50,6 +51,10 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return {"exit": proc.returncode, "correct": bool(result.get("correct")), "metrics": metrics}
 
 
+def failed(run: dict) -> bool:
+    return run["exit"] != 0 or not run["correct"]
+
+
 def revision(root: Path) -> str:
     proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                           cwd=root, capture_output=True, text=True)
@@ -78,7 +83,8 @@ def summarize(pairs: list[dict], directions: dict) -> dict:
     summary = {}
     for name, better in directions.items():
         both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
-                if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+                if not (failed(p["parent"]) or failed(p["change"]))
+                and name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
         if not both:
             continue
         sign = -1.0 if better == "lower" else 1.0
@@ -127,6 +133,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "workloads": {},
     }
+    any_failed = False
     for workload in workloads:
         pairs = []
         for i, seed in enumerate(parse_seeds(args.seeds)):
@@ -139,13 +146,15 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} {pair[side]['metrics'].get('cycle_ms_p50', float('nan')):.3f} ms"
                 for side in ("parent", "change")), file=sys.stderr)
+        failed_runs = sum(failed(p[s]) for p in pairs for s in ("parent", "change"))
+        any_failed |= failed_runs > 0
         report["workloads"][workload] = {
-            "failed_runs": sum(not p[s]["correct"] for p in pairs for s in ("parent", "change")),
+            "failed_runs": failed_runs,
             "summary": summarize(pairs, directions),
             "pairs": pairs,
         }
         out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":
