@@ -28,9 +28,7 @@ from .matching import (
     CorrespondenceSet,
     InlierSet,
     RansacConfig,
-    TrackingState,
     match_nn,
-    mean_correspondence_error,
     ransac_inliers,
     tracking_update,
 )

@@ -21,12 +21,8 @@ class TooFewCorrespondences(FeatServoError):
     """Not enough pairs to seed the robust model fit."""
 
 
-class TrackingLost(FeatServoError):
-    """Tracked inliers dropped below the minimum; caller falls back to full matching."""
-
-
-class EmptySet(FeatServoError):
-    """Statistic requested over an empty collection."""
+class NonFiniteStep(FeatServoError):
+    """dt times the commanded twist overflows the pose step."""
 
 
 class TooFewVisibleLandmarks(FeatServoError):

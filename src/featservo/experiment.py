@@ -5,6 +5,7 @@ increasing initial offsets, profile exports, and the experiment config file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -309,12 +310,7 @@ _DEFAULT_CONFIG = {
         "pixel_noise_sigma": 0.3,
     },
     "control": {"gain": 0.5, "svd_tolerance": 1e-10, "max_twist": None},
-    "ransac": {
-        "inlier_threshold": 2.0,
-        "max_iterations": 1000,
-        "confidence": 0.999,
-        "min_sample": 4,
-    },
+    "ransac": {"inlier_threshold": 2.0, "max_iterations": 1000, "confidence": 0.999},
     "servo": {
         "dt": 0.05,
         "tracking_threshold": 10.0,
@@ -354,14 +350,23 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
     return out
 
 
+def _finite_float(text: str) -> float:
+    """json's float and NaN/Infinity hook: a number that is not finite is an error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text} is not finite")
+    return value
+
+
 def load_config(path, seed: int | None = None) -> dict:
-    """Parse and validate the experiment config; unknown keys are errors.
+    """Parse and validate the experiment config; unknown keys and non-finite
+    numbers (NaN, Infinity, 1e400) are errors.
 
     `seed`, when given, replaces the config seed before validation.
     """
     with open(path) as f:
         try:
-            user = json.load(f)
+            user = json.load(f, parse_float=_finite_float, parse_constant=_finite_float)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(user, dict):
@@ -477,7 +482,6 @@ def build_run_config(cfg: dict) -> ServoRunConfig:
             inlier_threshold=rs["inlier_threshold"],
             max_iterations=rs["max_iterations"],
             confidence=rs["confidence"],
-            min_sample=rs["min_sample"],
             seed=cfg["seed"],
         ),
         detector=SyntheticDetectorConfig(

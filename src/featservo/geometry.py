@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDepth
+from .errors import NonFiniteStep, NonPositiveDepth
 
 _MIN_DEPTH = 1e-9
 _SMALL_ANGLE = 1e-8
@@ -114,10 +114,6 @@ class Twist:
         self.angular.setflags(write=False)
 
     @staticmethod
-    def zero() -> "Twist":
-        return Twist(np.zeros(3), np.zeros(3))
-
-    @staticmethod
     def from_vector(v) -> "Twist":
         v = np.asarray(v, dtype=float).reshape(6)
         return Twist(v[:3], v[3:])
@@ -158,7 +154,8 @@ def skew(w: np.ndarray) -> np.ndarray:
 
 
 def se3_exp(xi) -> Pose:
-    """Exponential map of a 6-vector (linear, angular) onto SE(3)."""
+    """Exponential map of a 6-vector (linear, angular) onto SE(3); raises
+    NonFiniteStep when the map overflows."""
     xi = np.asarray(xi, dtype=float).reshape(6)
     u, w = xi[:3], xi[3:]
     theta = np.linalg.norm(w)
@@ -175,7 +172,10 @@ def se3_exp(xi) -> Pose:
             + (1 - np.cos(theta)) / theta**2 * W
             + (theta - np.sin(theta)) / theta**3 * W2
         )
-    return Pose(_reorthonormalize(R), V @ u)
+    t = V @ u
+    if not (np.isfinite(R).all() and np.isfinite(t).all()):
+        raise NonFiniteStep(f"the pose step of {xi.tolist()} is not finite")
+    return Pose(_reorthonormalize(R), t)
 
 
 def _reorthonormalize(R: np.ndarray) -> np.ndarray:
@@ -188,10 +188,12 @@ def _reorthonormalize(R: np.ndarray) -> np.ndarray:
 
 
 def integrate_twist(pose: Pose, twist: Twist, dt: float) -> Pose:
-    """Advance the camera pose by dt under a body-frame twist: P o exp(dt*v)."""
+    """Advance the camera pose by dt under a body-frame twist: P o exp(dt*v).
+    Raises NonFiniteStep when dt*v overflows the step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    step = se3_exp(dt * twist.as_vector())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteStep
+        step = se3_exp(dt * twist.as_vector())
     new = compose(pose, step)
     return Pose(_reorthonormalize(new.rotation), new.translation)
 

@@ -1,19 +1,19 @@
 """Descriptor nearest-neighbour matching, RANSAC outlier rejection with
 closed-form 4-point homography hypotheses and a normalized-DLT local refit,
-and the tracking mode that restricts matching to the previous cycle's
+and the tracking lock that restricts matching to the previous cycle's
 inlier targets near convergence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, TooFewCorrespondences, TrackingLost
+from .errors import TooFewCorrespondences
 from .features import FeatureSet
 
-MIN_TRACKED_INLIERS = 3
+MIN_SAMPLE = 4  # pairs that fix a homography
 CHUNK = 8  # RANSAC hypotheses drawn, fitted and scored per batch
 
 
@@ -24,7 +24,6 @@ class RansacConfig:
     inlier_threshold: float = 2.0
     max_iterations: int = 1000
     confidence: float = 0.999
-    min_sample: int = 4  # homography
     seed: int = 0
 
     def __post_init__(self):
@@ -34,8 +33,6 @@ class RansacConfig:
             raise ValueError("max_iterations must be an integer >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
-        if not isinstance(self.min_sample, int) or self.min_sample < 4:
-            raise ValueError("min_sample must be an integer >= 4")
 
 
 @dataclass(frozen=True)
@@ -240,20 +237,6 @@ def symmetric_transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) ->
     return np.sqrt(np.sum(fwd**2, axis=1) + np.sum(bwd**2, axis=1))
 
 
-def _hypotheses(src, dst, samples):
-    """(k, 3, 3) models of a (k, m) chunk of samples, signed so that a sample
-    point maps with w > 0; a degenerate sample gets the zero model. Above 4
-    points, the first 4 are screened, then the DLT fits all m."""
-    s, d = src[samples], dst[samples]
-    H, ok = _minimal_fit(s[:, :4], d[:, :4])
-    if samples.shape[1] > 4:
-        fit = np.flatnonzero(ok)
-        Hd, ok_d = _dlt(s[fit], d[fit])
-        w = np.sum(Hd[:, 2, :2] * s[fit, 0], axis=-1) + Hd[:, 2, 2]
-        H[fit] = Hd * (np.sign(w) * ok_d)[:, None, None]
-    return H
-
-
 def _one_sided_inliers(H, src, dst, threshold):
     """(k, n) masks of the pairs within `threshold` px of their forward
     transfer under each of a stack of models, without dividing by w:
@@ -270,17 +253,18 @@ def ransac_inliers(
     """Largest homography consensus over the correspondence set.
 
     Hypotheses are drawn CHUNK at a time, one `rng.random` call per chunk,
-    and scored by their one-sided transfer error. Each chunk's best
-    hypothesis, when it beats every earlier one, is refit on its support and
-    re-thresholded by the symmetric transfer error (local optimisation);
-    that count picks the returned set and sets the adaptive iteration bound
-    from the standard confidence formula. Every returned pair satisfies the
+    fitted in closed form (a degenerate sample gets the zero model, which
+    holds no pair) and scored by their one-sided transfer error. Each
+    chunk's best hypothesis, when it beats every earlier one, is refit on
+    its support and re-thresholded by the symmetric transfer error (local
+    optimisation); that count picks the returned set and sets the adaptive
+    iteration bound from the standard confidence formula. Every returned pair satisfies the
     threshold under the returned model. Bit-reproducible for a fixed
     (input, seed) when no generator is given.
     """
-    n, m = len(C), cfg.min_sample
-    if n < m:
-        raise TooFewCorrespondences(f"{n} pairs < min_sample {m}")
+    n = len(C)
+    if n < MIN_SAMPLE:
+        raise TooFewCorrespondences(f"{n} pairs < {MIN_SAMPLE}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     src, dst = C.current_pixels, C.target_pixels
@@ -293,8 +277,8 @@ def ransac_inliers(
     while it < limit:
         k = min(CHUNK, limit - it)
         it += k
-        samples = np.argpartition(rng.random((k, n)), m - 1, axis=1)[:, :m]
-        H = _hypotheses(src, dst, samples)
+        samples = np.argpartition(rng.random((k, n)), MIN_SAMPLE - 1, axis=1)[:, :MIN_SAMPLE]
+        H = _minimal_fit(src[samples], dst[samples])[0]
         masks = _one_sided_inliers(H, src, dst, t)
         counts = masks.sum(axis=1)
         j = int(np.argmax(counts))
@@ -305,7 +289,7 @@ def ransac_inliers(
         model = fit_homography(src[masks[j]], dst[masks[j]])
         if model is not None:
             mask = symmetric_transfer_error(model, src, dst) <= t
-        if model is None or mask.sum() < m:
+        if model is None or mask.sum() < MIN_SAMPLE:
             model = H[j]
             mask = symmetric_transfer_error(model, src, dst) <= t
         count = int(mask.sum())
@@ -314,55 +298,28 @@ def ransac_inliers(
             w = count / n
             if w >= 1.0:
                 break
-            denom = np.log1p(-min(w**m, 1 - 1e-12))
+            denom = np.log1p(-min(w**MIN_SAMPLE, 1 - 1e-12))
             limit = min(cfg.max_iterations, int(np.ceil(np.log1p(-cfg.confidence) / denom)))
 
-    if best_mask is None or best_count < m:
+    if best_mask is None or best_count < MIN_SAMPLE:
         raise TooFewCorrespondences("no non-degenerate consensus found")
     return InlierSet(C, np.flatnonzero(best_mask).astype(np.int64), best_model)
 
 
-def mean_correspondence_error(R: InlierSet) -> float:
-    """Mean Euclidean pixel distance between paired current/target keypoints."""
-    if len(R) == 0:
-        raise EmptySet("no inlier pairs")
-    return float(np.mean(np.linalg.norm(R.current_pixels - R.target_pixels, axis=1)))
-
-
-@dataclass(frozen=True)
-class TrackingState:
-    """Near-convergence mode locking the matchable target subset.
-
-    Once active, each cycle matches against the previous cycle's inlier
-    targets, so tracked inlier sets shrink monotonically.
-    """
-
-    activation_threshold: float = 10.0  # pixels, mean correspondence error
-    active: bool = False
-    locked_target: FeatureSet | None = None
-
-    def matchable_target(self, full_target: FeatureSet) -> FeatureSet:
-        return self.locked_target if self.active else full_target
-
-
 def tracking_update(
-    state: TrackingState,
+    locked: FeatureSet | None,
     matched_target: FeatureSet,
     inliers: InlierSet,
     mean_error: float,
-) -> TrackingState:
-    """Advance the tracking state after one matching cycle.
+    threshold: float,
+) -> FeatureSet | None:
+    """The target subset the next cycle matches against, None for the full set.
 
-    `matched_target` must be the target set the cycle's correspondences
-    index into (the full set when inactive, the locked subset when active).
-    Raises TrackingLost when a tracked cycle retains fewer than 3 inliers;
-    the caller falls back to full matching.
+    Matching locks onto the inlier targets once the mean error first drops
+    below `threshold`. `matched_target` must be the set the cycle's
+    correspondences index into (the locked subset once locked), so a locked
+    subset only shrinks.
     """
-    if state.active and len(inliers) < MIN_TRACKED_INLIERS:
-        raise TrackingLost(f"tracked inliers fell to {len(inliers)}")
-    if not state.active and mean_error >= state.activation_threshold:
-        return state
-    if not state.active and len(inliers) < MIN_TRACKED_INLIERS:
-        return state  # not enough support to lock onto
-    locked = matched_target.subset(inliers.target_indices)
-    return replace(state, active=True, locked_target=locked)
+    if locked is None and mean_error >= threshold:
+        return None
+    return matched_target.subset(inliers.target_indices)

@@ -6,18 +6,12 @@ detect/match/reject/control cycle driven to convergence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import ControlConfig, control_law, stack_interaction
-from .errors import (
-    EmptySet,
-    InsufficientFeatures,
-    TooFewCorrespondences,
-    TooFewVisibleLandmarks,
-    TrackingLost,
-)
+from .errors import TooFewCorrespondences, TooFewVisibleLandmarks
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
@@ -26,15 +20,8 @@ from .features import (
     synthetic_detect,
     top_k,
 )
-from .geometry import CameraIntrinsics, Pose, Twist, integrate_twist, pixel_to_normalized
-from .matching import (
-    RansacConfig,
-    TrackingState,
-    match_nn,
-    mean_correspondence_error,
-    ransac_inliers,
-    tracking_update,
-)
+from .geometry import CameraIntrinsics, Pose, integrate_twist, pixel_to_normalized
+from .matching import RansacConfig, match_nn, ransac_inliers, tracking_update
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=160.0, cy=120.0, width=320, height=240)
 
@@ -284,23 +271,10 @@ class ServoLoop:
         self.target_full = render_target(scene, cfg.target_pose, cfg.intrinsics)
         self.pose = cfg.initial_pose
         self.cycle = 0
-        self.tracking = TrackingState(activation_threshold=cfg.tracking_threshold)
+        self.locked: FeatureSet | None = None  # tracking lock, see tracking_update
         self.tracking_disabled = False
         self._detect_rng = np.random.default_rng([cfg.detector.seed, 0xDE])
         self._ransac_rng = np.random.default_rng([cfg.ransac.seed, 0x5C])
-
-    def _starved_record(self, n_corr: int, tracking_flag: bool, event: str) -> CycleRecord:
-        return CycleRecord(
-            cycle=self.cycle,
-            pose=self.pose,
-            twist=np.zeros(6),
-            n_correspondences=n_corr,
-            n_inliers=0,
-            mean_error=float("nan"),
-            error_norm=float("nan"),
-            tracking=tracking_flag,
-            event=event,
-        )
 
     def step(self) -> CycleRecord:
         cfg = self.cfg
@@ -310,38 +284,45 @@ class ServoLoop:
             self.scene, self.pose, cfg.intrinsics, cfg.detector, self._detect_rng
         )
         current = top_k(current, cfg.top_k)
-        target = self.tracking.matchable_target(self.target_full)
-        tracking_flag = self.tracking.active
+        tracking_flag = self.locked is not None
+        target = self.locked if tracking_flag else self.target_full
 
         C = match_nn(current, target)
         try:
             R = ransac_inliers(C, cfg.ransac, rng=self._ransac_rng)
-            mean_error = mean_correspondence_error(R)
-        except (TooFewCorrespondences, EmptySet):
+        except TooFewCorrespondences:
+            # the only way a cycle fails: RANSAC keeps at least 4 pairs, and
+            # the control law needs 3 points
+            event = "insufficient_features"
             if tracking_flag:
                 # tracked matching starved out: fall back to full matching
-                self.tracking = TrackingState(activation_threshold=cfg.tracking_threshold)
+                self.locked = None
                 self.tracking_disabled = True
-                return self._starved_record(len(C), tracking_flag, "tracking_lost")
-            return self._starved_record(len(C), tracking_flag, "insufficient_features")
+                event = "tracking_lost"
+            return CycleRecord(
+                cycle=self.cycle,
+                pose=self.pose,
+                twist=np.zeros(6),
+                n_correspondences=len(C),
+                n_inliers=0,
+                mean_error=float("nan"),
+                error_norm=float("nan"),
+                tracking=tracking_flag,
+                event=event,
+            )
 
-        s = pixel_to_normalized(R.current_pixels, cfg.intrinsics).reshape(-1)
-        s_star = pixel_to_normalized(R.target_pixels, cfg.intrinsics).reshape(-1)
+        current_px, target_px = R.current_pixels, R.target_pixels
+        s = pixel_to_normalized(current_px, cfg.intrinsics).reshape(-1)
+        s_star = pixel_to_normalized(target_px, cfg.intrinsics).reshape(-1)
         e = s - s_star
-        event = ""
-        try:
-            if cfg.use_current_interaction:
-                depths = current.depths[R.current_indices]
-                L = stack_interaction(s, depths)
-            else:
-                depths = target.depths[R.target_indices]
-                L = stack_interaction(s_star, depths)
-            twist = control_law(e, L, cfg.control)
-        except InsufficientFeatures:
-            twist = Twist.zero()
-            event = "insufficient_features"
+        if cfg.use_current_interaction:
+            L = stack_interaction(s, current.depths[R.current_indices])
+        else:
+            L = stack_interaction(s_star, target.depths[R.target_indices])
+        twist = control_law(e, L, cfg.control)
 
-        pair_errors = np.linalg.norm(R.current_pixels - R.target_pixels, axis=1)
+        pair_errors = np.linalg.norm(current_px - target_px, axis=1)
+        mean_error = float(np.mean(pair_errors))
         pair_id_match = None
         inlier_ids = ()
         if target.landmark_ids is not None:
@@ -361,20 +342,16 @@ class ServoLoop:
             mean_error=mean_error,
             error_norm=float(np.linalg.norm(e)),
             tracking=tracking_flag,
-            event=event,
             inlier_target_ids=inlier_ids,
             pair_errors=pair_errors,
             pair_id_match=pair_id_match,
         )
 
         self.pose = integrate_twist(self.pose, twist, cfg.dt)
-        if not self.tracking_disabled and event == "":
-            try:
-                self.tracking = tracking_update(self.tracking, target, R, mean_error)
-            except TrackingLost:
-                self.tracking = TrackingState(activation_threshold=cfg.tracking_threshold)
-                self.tracking_disabled = True
-                record = replace(record, event="tracking_lost")
+        if not self.tracking_disabled:
+            self.locked = tracking_update(
+                self.locked, target, R, mean_error, cfg.tracking_threshold
+            )
         return record
 
 

@@ -304,7 +304,7 @@ VALID_CONFIGS = st.fixed_dictionaries({}, optional={
     ),
     "ransac": _table(
         inlier_threshold=_floats(0.1, 10.0), max_iterations=st.integers(1, 5000),
-        confidence=_floats(0.5, 0.9999), min_sample=st.integers(4, 8),
+        confidence=_floats(0.5, 0.9999),
     ),
     "servo": _table(
         dt=_floats(0.001, 0.5), tracking_threshold=_floats(0.0, 50.0),
@@ -396,6 +396,7 @@ class TestCli:
             ({"accuracy": {"goals": 5}}, "accuracy"),
             ({"accuracy": {"rotation_deg": [6.0, 6.0]}}, "accuracy"),
             ({"ransac": {"min_sample": 3}}, "run"),
+            ({"ransac": {"min_sample": 4}}, "run"),  # the key is gone
             ({"servo": {"top_k": -1}}, "run"),
             ({"servo": {"top_k": 2.5}}, "run"),
             ({"servo": {"dt": 0}}, "run"),
@@ -403,15 +404,41 @@ class TestCli:
             ({"servo": {"tracking_threshold": "x"}}, "run"),
             ({"ransac": {"max_iterations": 2.5}}, "run"),
             ({"control": {"max_twist": [1, 1, 1, 1, 1, "x"]}}, "run"),
+            # numbers that are not finite, written as json.dumps writes them
+            ({"control": {"gain": float("nan")}}, "run"),
+            ({"control": {"gain": float("inf")}}, "run"),
+            ({"detector": {"descriptor_noise_sigma": float("inf")}}, "run"),
+            ({"servo": {"dt": float("inf")}}, "run"),
+            ({"run": {"offset_cm": float("nan")}}, "run"),
+            ({"servo": {"success_threshold": float("nan")}}, "run"),
+            ({"ransac": {"inlier_threshold": float("nan")}}, "run"),
+            ({"control": {"svd_tolerance": float("nan")}}, "run"),
+            ({"servo": {"tracking_threshold": float("nan")}}, "run"),
+            ({"detector": {"pixel_noise_sigma": float("nan")}}, "run"),
+            ({"servo": {"tracking_threshold": -float("inf")}}, "run"),
+            # literals that json parses to inf
+            pytest.param('{"servo": {"dt": 1e400}}', "run", id="dt-1e400"),
+            pytest.param('{"accuracy": {"offset_cm": [2.0, -1e400]}}', "accuracy", id="offset-1e400"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert main(["check", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [{"servo": {"dt": 1e200}}, {"control": {"gain": 1e308}}])
+    def test_overflowing_step_exits_4(self, payload, tmp_path, capsys):
+        # finite, so check passes; dt times the twist then overflows the step
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["check", "run", "accuracy", "batch"])
     def test_negative_seed_override_rejected(self, command, tiny_config, tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featservo.errors import NonPositiveDepth
+from featservo.errors import NonFiniteStep, NonPositiveDepth
 from featservo.geometry import (
     CameraIntrinsics,
     Pose,
@@ -100,7 +100,7 @@ class TestIntegrateTwist:
         assert np.allclose(P.rotation, np.eye(3))
 
     def test_zero_twist(self):
-        P = integrate_twist(Pose.identity(), Twist.zero(), 1.0)
+        P = integrate_twist(Pose.identity(), Twist((0, 0, 0), (0, 0, 0)), 1.0)
         assert np.allclose(P.matrix(), np.eye(4))
 
     def test_z_rotation_matches_closed_form(self):
@@ -111,7 +111,13 @@ class TestIntegrateTwist:
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
-            integrate_twist(Pose.identity(), Twist.zero(), 0.0)
+            integrate_twist(Pose.identity(), Twist((0, 0, 0), (0, 0, 0)), 0.0)
+
+    @pytest.mark.parametrize("dt", [1e200, 1e308])
+    def test_overflowing_step_raises(self, dt):
+        # |dt * w| overflows to inf: the rotation would be NaN
+        with pytest.raises(NonFiniteStep):
+            integrate_twist(Pose.identity(), Twist((0.1, 0, 0), (0.1, 0.2, 0)), dt)
 
     def test_screw_reversal_is_identity(self):
         rng = np.random.default_rng(4)

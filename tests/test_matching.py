@@ -4,18 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featservo import matching
-from featservo.errors import EmptySet, TooFewCorrespondences, TrackingLost
+from featservo.errors import TooFewCorrespondences
 from featservo.features import FeatureSet
 from featservo.matching import (
     CHUNK,
+    MIN_SAMPLE,
     CorrespondenceSet,
     InlierSet,
     RansacConfig,
-    TrackingState,
     _minimal_fit,
     fit_homography,
     match_nn,
-    mean_correspondence_error,
     ransac_inliers,
     symmetric_transfer_error,
     tracking_update,
@@ -176,12 +175,10 @@ class TestMatchNNMatchesOldFormula:
 
     def test_locked_tracking_target(self):
         target = make_target(40, seed=2)
-        state = TrackingState(activation_threshold=10.0)
         target.sq_norms  # the full target's cached norms carry into the lock
-        state = tracking_update(
-            state, target, inliers_over(target, [3, 9, 1, 30, 22, 17]), mean_error=5.0
+        locked = tracking_update(
+            None, target, inliers_over(target, [3, 9, 1, 30, 22, 17]), 5.0, 10.0
         )
-        locked = state.matchable_target(target)
         cur = feature_set(
             np.random.default_rng(8).uniform(0, 200, (25, 2)),
             noisy_copy(target.descriptors[10:35], 0.05, 8),
@@ -268,11 +265,10 @@ class TestChunkedRansacMatchesSerial:
             ransac_inliers(C, RansacConfig(), rng=rng)
         assert rng.bit_generator.state == np.random.default_rng([0, 0x5C]).bit_generator.state
 
-    @pytest.mark.parametrize("min_sample", [4, 5])
-    def test_deterministic_for_a_fixed_seed(self, min_sample):
+    def test_deterministic_for_a_fixed_seed(self):
         for seed in range(6):
             C = noisy_pairs(seed, 60, outlier_frac=0.4)
-            cfg = RansacConfig(seed=seed, min_sample=min_sample)
+            cfg = RansacConfig(seed=seed)
             runs = []
             for _ in range(2):
                 rng = np.random.default_rng([seed, 0x5C])
@@ -397,9 +393,9 @@ class TestRansacConsensus:
     @pytest.mark.parametrize("outlier_frac", [0.0, 0.2, 0.4, 0.6, 0.8])
     def test_recovers_planted_inliers(self, outlier_frac, monkeypatch):
         drawn = []
-        hypotheses = matching._hypotheses
-        monkeypatch.setattr(matching, "_hypotheses",
-                            lambda src, dst, s: drawn.append(len(s)) or hypotheses(src, dst, s))
+        minimal_fit = matching._minimal_fit
+        monkeypatch.setattr(matching, "_minimal_fit",
+                            lambda src, dst: drawn.append(len(src)) or minimal_fit(src, dst))
         for seed in range(5):
             drawn.clear()
             C, n_in = planted_pairs(seed, 50, outlier_frac)
@@ -414,23 +410,13 @@ class TestRansacConsensus:
             needed = 1 if w == 1 else np.ceil(np.log1p(-cfg.confidence) / np.log1p(-w**4))
             assert sum(drawn) <= CHUNK * np.ceil(needed / CHUNK)
 
-    @pytest.mark.parametrize("min_sample", [4, 5])
-    def test_pixel_origin_behind_the_model(self, min_sample):
+    def test_pixel_origin_behind_the_model(self):
         # w = 0.01 x - 0.5 is positive over the pairs but negative at (0, 0):
         # a hypothesis scaled to H[2, 2] = 1 would map every pair behind
         H = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, -3.0], [0.01, 0.0, -0.5]])
         src = np.random.default_rng(36).uniform([100.0, 20.0], [300.0, 300.0], (30, 2))
         C = pair_set(src, apply_h(H, src))
-        assert len(ransac_inliers(C, RansacConfig(min_sample=min_sample))) == 30
-
-    def test_min_sample_5(self):
-        for seed in range(5):
-            C, n_in = planted_pairs(seed, 40, 0.3)
-            cfg = RansacConfig(min_sample=5, seed=seed)
-            R = ransac_inliers(C, cfg)
-            assert np.array_equal(R.indices, np.arange(n_in))
-            resid = symmetric_transfer_error(R.model, R.current_pixels, R.target_pixels)
-            assert np.all(resid <= cfg.inlier_threshold)
+        assert len(ransac_inliers(C, RansacConfig())) == 30
 
     @pytest.mark.parametrize(
         "refit",
@@ -446,7 +432,7 @@ class TestRansacConsensus:
         C, n_in = planted_pairs(4, 40, 0.4)
         cfg = RansacConfig(seed=4)
         R = ransac_inliers(C, cfg)
-        assert len(R) >= cfg.min_sample
+        assert len(R) >= MIN_SAMPLE
         assert set(R.indices.tolist()) <= set(range(n_in))
         resid = symmetric_transfer_error(R.model, R.current_pixels, R.target_pixels)
         assert np.all(resid <= cfg.inlier_threshold)
@@ -563,44 +549,17 @@ class TestRansac:
             R = ransac_inliers(C, cfg)
         except TooFewCorrespondences:
             return
-        assert len(R) >= cfg.min_sample
+        assert len(R) >= MIN_SAMPLE
         resid = symmetric_transfer_error(R.model, R.current_pixels, R.target_pixels)
         assert np.all(resid <= cfg.inlier_threshold)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RansacConfig(min_sample=3)
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=0.0)
         with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
         with pytest.raises(ValueError):
             RansacConfig(confidence=1.0)
-
-
-class TestMeanError:
-    def test_coincident_pairs(self):
-        C = pair_set([[10, 10], [20, 20]], [[10, 10], [20, 20]])
-        R = InlierSet(C, np.arange(2), np.eye(3))
-        assert mean_correspondence_error(R) == 0.0
-
-    def test_arithmetic_mean(self):
-        C = pair_set([[0, 0], [0, 0]], [[1, 0], [3, 0]])
-        R = InlierSet(C, np.arange(2), np.eye(3))
-        assert mean_correspondence_error(R) == pytest.approx(2.0)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(18)
-        src, dst = rng.uniform(0, 200, (9, 2)), rng.uniform(0, 200, (9, 2))
-        C = pair_set(src, dst)
-        R = InlierSet(C, np.arange(9), np.eye(3))
-        expected = sum(np.linalg.norm(s - d) for s, d in zip(src, dst)) / 9
-        assert mean_correspondence_error(R) == pytest.approx(expected)
-
-    def test_empty_raises(self):
-        C = pair_set(np.zeros((1, 2)), np.zeros((1, 2)))
-        with pytest.raises(EmptySet):
-            mean_correspondence_error(InlierSet(C, np.zeros(0, dtype=np.int64), np.eye(3)))
 
 
 def make_target(n, seed=0):
@@ -626,38 +585,19 @@ def inliers_over(target, target_indices):
 class TestTracking:
     def test_inactive_passthrough_above_threshold(self):
         target = make_target(10)
-        state = TrackingState(activation_threshold=10.0)
-        new = tracking_update(state, target, inliers_over(target, range(10)), mean_error=25.0)
-        assert not new.active
-        assert new.matchable_target(target) is target
+        assert tracking_update(None, target, inliers_over(target, range(10)), 25.0, 10.0) is None
+        # the threshold itself does not lock
+        assert tracking_update(None, target, inliers_over(target, range(10)), 10.0, 10.0) is None
 
     def test_activation_then_shrink(self):
         target = make_target(10)
-        state = TrackingState(activation_threshold=10.0)
-        state = tracking_update(state, target, inliers_over(target, range(10)), mean_error=5.0)
-        assert state.active
-        locked = state.matchable_target(target)
+        locked = tracking_update(None, target, inliers_over(target, range(10)), 5.0, 10.0)
         assert len(locked) == 10
         assert np.array_equal(locked.landmark_ids, target.landmark_ids)
 
-        # next cycle only 8 of the locked targets survive as inliers
+        # next cycle only 8 of the locked targets survive as inliers; a locked
+        # subset shrinks whatever the error
         survivors = [0, 1, 2, 3, 5, 6, 8, 9]
-        state = tracking_update(state, locked, inliers_over(locked, survivors), mean_error=3.0)
-        shrunk = state.matchable_target(target)
+        shrunk = tracking_update(locked, locked, inliers_over(locked, survivors), 30.0, 10.0)
         assert len(shrunk) == 8
-        assert set(shrunk.landmark_ids) <= set(locked.landmark_ids)
         assert set(shrunk.landmark_ids) == {0, 1, 2, 3, 5, 6, 8, 9}
-
-    def test_tracking_lost_below_minimum(self):
-        target = make_target(10)
-        state = TrackingState(activation_threshold=10.0)
-        state = tracking_update(state, target, inliers_over(target, range(10)), mean_error=5.0)
-        locked = state.matchable_target(target)
-        with pytest.raises(TrackingLost):
-            tracking_update(state, locked, inliers_over(locked, [0, 1]), mean_error=1.0)
-
-    def test_no_activation_without_support(self):
-        target = make_target(5)
-        state = TrackingState(activation_threshold=10.0)
-        new = tracking_update(state, target, inliers_over(target, [0, 1]), mean_error=2.0)
-        assert not new.active

@@ -5,7 +5,6 @@ from dataclasses import replace
 from featservo.errors import TooFewVisibleLandmarks
 from featservo.features import SyntheticDetectorConfig, synthetic_detect
 from featservo.geometry import Pose, compose, pose_error, se3_exp
-from featservo.matching import TrackingState
 from featservo.simulate import (
     Scene,
     ServoLoop,
@@ -148,18 +147,14 @@ class TestServoStep:
         assert any(control.step().tracking for _ in range(4))
 
         loop = ServoLoop(clean_scene, cfg)
-        loop.tracking = TrackingState(
-            activation_threshold=cfg.tracking_threshold,
-            active=True,
-            locked_target=loop.target_full.subset([0, 1]),
-        )
+        loop.locked = loop.target_full.subset([0, 1])  # too few to seed RANSAC
         lost = loop.step()
         assert lost.tracking and lost.event == "tracking_lost"
-        assert loop.tracking_disabled and not loop.tracking.active
+        assert loop.tracking_disabled and loop.locked is None
         later = [loop.step() for _ in range(6)]
         assert all(r.event == "" and r.mean_error < cfg.tracking_threshold for r in later)
         assert not any(r.tracking for r in later)
-        assert not loop.tracking.active
+        assert loop.locked is None
 
 
 class TestRunServo:
@@ -213,6 +208,11 @@ class TestRunServo:
         clutter = set(int(i) for i in box_scene.clutter_ids)
         for rec in trace.records:
             assert not (set(rec.inlier_target_ids) & clutter)
+            if rec.event == "":
+                # RANSAC keeps at least 4 pairs, so a cycle that did not fail
+                # has its inliers, and its mean error is theirs, bit for bit
+                assert rec.n_inliers >= 4
+                assert rec.mean_error == np.mean(rec.pair_errors)
 
     def test_tracked_inlier_counts_non_increasing(self, clean_scene, target_pose):
         cfg = offset_config(target_pose, [0.01, 0.005, 0, 0, 0.02, 0])
