@@ -358,15 +358,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    """json's integer hook: an integer that no float can hold is an error."""
+    try:
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"integer of {len(text)} digits does not fit a float") from None
+    return value
+
+
 def load_config(path, seed: int | None = None) -> dict:
-    """Parse and validate the experiment config; unknown keys and non-finite
-    numbers (NaN, Infinity, 1e400) are errors.
+    """Parse and validate the experiment config; unknown keys, non-finite
+    numbers (NaN, Infinity, 1e400) and integers too large for a float are
+    errors.
 
     `seed`, when given, replaces the config seed before validation.
     """
     with open(path) as f:
         try:
-            user = json.load(f, parse_float=_finite_float, parse_constant=_finite_float)
+            user = json.load(
+                f,
+                parse_float=_finite_float,
+                parse_int=_float_sized_int,
+                parse_constant=_finite_float,
+            )
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(user, dict):

@@ -96,9 +96,13 @@ class FeatureSet:
         return self._sq_norms
 
     def subset(self, indices) -> "FeatureSet":
-        """Rows `indices`, in that order. Rows of a checked set pass the
-        constructor's checks, so they are not checked again."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        """Rows `indices`, in that order; a slice gives views. Rows of a
+        checked set pass the constructor's checks, so they are not checked
+        again."""
+        if isinstance(indices, slice):
+            idx = indices
+        else:
+            idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         out = FeatureSet.__new__(FeatureSet)
         out._freeze(
             self.pixels[idx],
@@ -244,5 +248,8 @@ def top_k(fs: FeatureSet, k: int) -> FeatureSet:
         raise ValueError("k must be non-negative")
     if k >= len(fs):
         return fs
+    if np.all(fs.scores[:-1] > fs.scores[1:]):
+        # already in score order, as synthetic_detect returns it: the prefix
+        return fs.subset(slice(k))
     order = _order_by_score(fs.pixels, fs.scores)
     return fs.subset(order[:k])

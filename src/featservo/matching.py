@@ -87,22 +87,48 @@ class InlierSet:
         return self.correspondences.target_pixels[self.indices]
 
 
-def match_nn(current: FeatureSet, target: FeatureSet) -> CorrespondenceSet:
+def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two descriptor arrays hold equal values, rejecting on shape
+    and row 0 before the full comparison."""
+    return a is b or (
+        a.shape == b.shape
+        and (a.size == 0 or np.array_equal(a[0], b[0]))
+        and np.array_equal(a, b)
+    )
+
+
+def match_nn(
+    current: FeatureSet,
+    target: FeatureSet,
+    last: tuple[np.ndarray, np.ndarray, CorrespondenceSet] | None = None,
+) -> CorrespondenceSet:
     """Mutual Euclidean nearest-neighbour matching on descriptors.
 
     A pair survives only if each side is the other's nearest neighbour, so
     no target index appears twice. Equal distances resolve to the lowest
     index.
+
+    `last` is an earlier call's (current descriptors, target descriptors,
+    result). When both descriptor arrays equal this call's, its indices and
+    distances, which depend on the descriptors alone, are returned as they
+    are, with the pixels gathered from this call's sets.
     """
-    empty = CorrespondenceSet(
-        np.zeros(0, dtype=np.int64),
-        np.zeros(0, dtype=np.int64),
-        np.zeros(0),
-        np.zeros((0, 2)),
-        np.zeros((0, 2)),
-    )
+    if last is not None and _same_rows(last[1], target.descriptors) and _same_rows(
+        last[0], current.descriptors
+    ):
+        C = last[2]
+        cur_idx, tgt_idx, dist = C.current_indices, C.target_indices, C.distances
+        return CorrespondenceSet(
+            cur_idx, tgt_idx, dist, current.pixels[cur_idx], target.pixels[tgt_idx]
+        )
     if len(current) == 0 or len(target) == 0:
-        return empty
+        return CorrespondenceSet(
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0),
+            np.zeros((0, 2)),
+            np.zeros((0, 2)),
+        )
 
     # squared distances via gemm, in place: -2G + (|a|^2 + |b|^2) takes the
     # same rounding steps as (|a|^2 + |b|^2) - 2G; argmin picks the lowest
@@ -119,6 +145,9 @@ def match_nn(current: FeatureSet, target: FeatureSet) -> CorrespondenceSet:
     dist = np.sqrt(d2[cur_idx, tgt_idx])
     order = np.argsort(dist, kind="stable")
     cur_idx, tgt_idx, dist = cur_idx[order], tgt_idx[order], dist[order]
+    # read-only, as a later call may hand them out again
+    for a in (cur_idx, tgt_idx, dist):
+        a.setflags(write=False)
     return CorrespondenceSet(
         cur_idx, tgt_idx, dist, current.pixels[cur_idx], target.pixels[tgt_idx]
     )
@@ -145,8 +174,7 @@ def _dlt(src: np.ndarray, dst: np.ndarray):
     non-degenerate ones.
     """
     n = src.shape[-2]
-    sn, Ts = _normalize_points(src)
-    dn, Td = _normalize_points(dst)
+    (sn, dn), (Ts, Td) = _normalize_points(np.stack([src, dst]))
     A = np.zeros(src.shape[:-2] + (2 * n, 9))
     x, y = sn[..., 0], sn[..., 1]
     u, v = dn[..., 0], dn[..., 1]
@@ -318,8 +346,14 @@ def tracking_update(
     Matching locks onto the inlier targets once the mean error first drops
     below `threshold`. `matched_target` must be the set the cycle's
     correspondences index into (the locked subset once locked), so a locked
-    subset only shrinks.
+    subset only shrinks. Inliers that keep every row in order give back
+    `matched_target` itself.
     """
     if locked is None and mean_error >= threshold:
         return None
-    return matched_target.subset(inliers.target_indices)
+    idx = inliers.target_indices
+    # idx[0] rejects most reordered sets before the full comparison
+    n = len(matched_target)
+    if idx.size == n and idx[0] == 0 and np.array_equal(idx, np.arange(n)):
+        return matched_target
+    return matched_target.subset(idx)

@@ -275,6 +275,10 @@ class ServoLoop:
         self.tracking_disabled = False
         self._detect_rng = np.random.default_rng([cfg.detector.seed, 0xDE])
         self._ransac_rng = np.random.default_rng([cfg.ransac.seed, 0x5C])
+        # without descriptor noise the descriptors can repeat from one cycle
+        # to the next, and match_nn can then reuse the last match
+        self._reuse_match = cfg.detector.descriptor_noise_sigma == 0
+        self._last_match = None  # (current descriptors, target descriptors, pairs)
 
     def step(self) -> CycleRecord:
         cfg = self.cfg
@@ -287,7 +291,9 @@ class ServoLoop:
         tracking_flag = self.locked is not None
         target = self.locked if tracking_flag else self.target_full
 
-        C = match_nn(current, target)
+        C = match_nn(current, target, last=self._last_match)
+        if self._reuse_match:
+            self._last_match = (current.descriptors, target.descriptors, C)
         try:
             R = ransac_inliers(C, cfg.ransac, rng=self._ransac_rng)
         except TooFewCorrespondences:

@@ -419,6 +419,9 @@ class TestCli:
             # literals that json parses to inf
             pytest.param('{"servo": {"dt": 1e400}}', "run", id="dt-1e400"),
             pytest.param('{"accuracy": {"offset_cm": [2.0, -1e400]}}', "accuracy", id="offset-1e400"),
+            # an integer literal that no float can hold
+            pytest.param('{"servo": {"dt": 1%s}}' % ("0" * 400), "run", id="dt-int-1e400"),
+            pytest.param('{"control": {"gain": 1%s}}' % ("0" * 5000), "run", id="gain-int-1e5000"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):

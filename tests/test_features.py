@@ -292,6 +292,23 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(make_set(2), -1)
 
+    @pytest.mark.parametrize("k", [0, 1, 40, 91])
+    def test_ordered_set_prefix_equals_gather(self, k, intrinsics):
+        # synthetic_detect returns its rows in score order, so top_k takes
+        # the prefix views; they hold the bytes of the sorted gather
+        scene = make_box_scene(seed=2)
+        camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
+        fs = synthetic_detect(scene, camera, intrinsics, SyntheticDetectorConfig(seed=1))
+        assert len(fs) > k
+        out = top_k(fs, k)
+        gathered = fs.subset(_order_by_score(fs.pixels, fs.scores)[:k])
+        for field in ("pixels", "descriptors", "scores", "depths", "landmark_ids"):
+            a, b = getattr(out, field), getattr(gathered, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+            assert not a.flags.writeable
+        assert k == 0 or np.shares_memory(out.descriptors, fs.descriptors)
+
 
 class TestDescriptorSeparation:
     def test_noisy_nearest_neighbor_error_rate(self):

@@ -188,6 +188,66 @@ class TestMatchNNMatchesOldFormula:
         assert len(C) > 0
 
 
+class TestMatchMemo:
+    """match_nn's `last`: equal descriptors give back the earlier indices and
+    distances, with pixels from the new sets; any other input matches anew."""
+
+    FIELDS = ("current_indices", "target_indices", "distances",
+              "current_pixels", "target_pixels")
+
+    @staticmethod
+    def sets(seed):
+        rng = np.random.default_rng(seed)
+        base = unit_descriptors(50, seed=seed)
+        tgt = feature_set(rng.uniform(0, 200, (50, 2)), base)
+        cur = feature_set(rng.uniform(0, 200, (40, 2)), noisy_copy(base[5:45], 0.05, seed))
+        return cur, tgt
+
+    @classmethod
+    def assert_fresh(cls, C, cur, tgt):
+        fresh = match_nn(cur, tgt)
+        for field in cls.FIELDS:
+            a, b = getattr(C, field), getattr(fresh, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hit_on_equal_descriptors_equals_fresh_match(self, seed):
+        cur, tgt = self.sets(seed)
+        C0 = match_nn(cur, tgt)
+        # fresh sets: equal descriptor copies at other pixels
+        rng = np.random.default_rng(100 + seed)
+        cur2 = feature_set(rng.uniform(0, 200, (40, 2)), cur.descriptors.copy())
+        tgt2 = feature_set(rng.uniform(0, 200, (50, 2)), tgt.descriptors.copy())
+        C1 = match_nn(cur2, tgt2, last=(cur.descriptors, tgt.descriptors, C0))
+        assert C1.current_indices is C0.current_indices  # a hit
+        assert not C1.distances.flags.writeable
+        assert len(C1) > 0
+        self.assert_fresh(C1, cur2, tgt2)
+
+    @pytest.mark.parametrize("side", ["current", "target"])
+    @pytest.mark.parametrize("row", [0, 17])
+    @pytest.mark.parametrize("toward", [np.inf, -np.inf])
+    def test_one_ulp_step_misses(self, side, row, toward):
+        cur, tgt = self.sets(3)
+        C0 = match_nn(cur, tgt)
+        changed = (cur if side == "current" else tgt).descriptors.copy()
+        changed[row, 5] = np.nextafter(changed[row, 5], toward)
+        fs = feature_set((cur if side == "current" else tgt).pixels, changed)
+        new_cur, new_tgt = (fs, tgt) if side == "current" else (cur, fs)
+        C1 = match_nn(new_cur, new_tgt, last=(cur.descriptors, tgt.descriptors, C0))
+        assert C1.current_indices is not C0.current_indices
+        self.assert_fresh(C1, new_cur, new_tgt)
+
+    def test_shape_change_misses(self):
+        cur, tgt = self.sets(4)
+        C0 = match_nn(cur, tgt)
+        fewer = cur.subset(np.arange(30))
+        C1 = match_nn(fewer, tgt, last=(cur.descriptors, tgt.descriptors, C0))
+        assert C1.current_indices is not C0.current_indices
+        self.assert_fresh(C1, fewer, tgt)
+
+
 def full_svd_fit(src, dst):
     """Reference DLT: Hartley normalization and a full SVD of A, one model."""
     def normalize(pts):
@@ -601,3 +661,12 @@ class TestTracking:
         shrunk = tracking_update(locked, locked, inliers_over(locked, survivors), 30.0, 10.0)
         assert len(shrunk) == 8
         assert set(shrunk.landmark_ids) == {0, 1, 2, 3, 5, 6, 8, 9}
+
+    def test_same_object_only_for_every_row_in_order(self):
+        target = make_target(10)
+        assert tracking_update(None, target, inliers_over(target, range(10)), 5.0, 10.0) is target
+        for rows in ([9, 8, 7, 6, 5, 4, 3, 2, 1, 0], [1, 0, *range(2, 10)], range(9)):
+            locked = tracking_update(None, target, inliers_over(target, rows), 5.0, 10.0)
+            assert locked is not target
+            assert locked.landmark_ids.tobytes() == target.subset(list(rows)).landmark_ids.tobytes()
+        assert tracking_update(target, target, inliers_over(target, range(10)), 30.0, 10.0) is target

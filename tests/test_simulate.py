@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
+
+import featservo.simulate as simulate
 
 from featservo.errors import TooFewVisibleLandmarks
 from featservo.features import SyntheticDetectorConfig, synthetic_detect
 from featservo.geometry import Pose, compose, pose_error, se3_exp
 from featservo.simulate import (
+    CycleRecord,
     Scene,
     ServoLoop,
     ServoRunConfig,
@@ -230,6 +233,62 @@ class TestRunServo:
         t_err, r_err = pose_error(trace.final_pose, target_pose)
         assert t_err < 1e-3
         assert np.degrees(r_err) < 0.2
+
+
+def same_value(a, b) -> bool:
+    """Equal bytes for arrays, floats and poses; == for the rest."""
+    if isinstance(a, Pose):
+        return same_value(a.rotation, b.rotation) and same_value(a.translation, b.translation)
+    if isinstance(a, (np.ndarray, float)):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+class TestMatchReuse:
+    """Without descriptor noise the loop hands match_nn its last match."""
+
+    @staticmethod
+    def run(scene, cfg, monkeypatch, ignore_last=False):
+        """run_servo's trace and, per match_nn call, whether it was given a
+        last match and whether it returned that match's pairs."""
+        match_nn, calls = simulate.match_nn, []
+
+        def spy(current, target, last=None):
+            C = match_nn(current, target, None if ignore_last else last)
+            calls.append((last is not None, last is not None and C.distances is last[2].distances))
+            return C
+
+        monkeypatch.setattr(simulate, "match_nn", spy)
+        trace = run_servo(scene, cfg)
+        monkeypatch.undo()
+        return trace, calls
+
+    def test_descriptor_noise_holds_no_memo(self, box_scene, target_pose, monkeypatch):
+        cfg = offset_config(
+            target_pose, [0.01, 0, 0, 0, 0, 0.02], max_cycles=30,
+            detector=SyntheticDetectorConfig(descriptor_noise_sigma=0.02, seed=2),
+        )
+        trace, calls = self.run(box_scene, cfg, monkeypatch)
+        assert len(calls) == len(trace) and not any(given for given, _ in calls)
+
+    def test_reused_matches_give_the_same_records(self, box_scene, target_pose, monkeypatch):
+        # clutter, pixel noise (keypoints leave the frame, the lock shrinks)
+        # and tracking, with noise-free descriptors
+        cfg = offset_config(
+            target_pose, [0.02, -0.01, 0.01, 0.03, -0.05, 0.04],
+            detector=SyntheticDetectorConfig(pixel_noise_sigma=0.3, seed=5),
+        )
+        trace, calls = self.run(box_scene, cfg, monkeypatch)
+        plain, _ = self.run(box_scene, cfg, monkeypatch, ignore_last=True)
+        hits = sum(hit for _, hit in calls)
+        assert trace.status == plain.status == "Converged"
+        assert any(r.tracking for r in trace.records)
+        assert 0 < hits < len(calls) - 1  # hits and misses both occur
+        assert len(trace) == len(plain)
+        for a, b in zip(trace.records, plain.records):
+            for f in fields(CycleRecord):
+                assert same_value(getattr(a, f.name), getattr(b, f.name)), (a.cycle, f.name)
 
 
 class TestTraceOutput:

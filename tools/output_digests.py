@@ -10,6 +10,9 @@ For each of the seeds 0, 1 and 2 this writes, under DIR/seed<s>/:
              and 8-16 cm bands (8 cm for run), 20 deg rotations, detection
              dropout 0.2, 50 RANSAC iterations and 60 cycles, so dropout,
              out-of-frame drops and failure statuses reach the outputs
+  noisefree/ `featservo run` and `featservo batch` (two bands, two trials,
+             clutter on) with descriptor noise 0, where the servo loop
+             reuses the last match while the descriptors repeat
   planar/    trace.csv of `run_servo` on a 400-landmark planar scene with
              the default run config at top_k 320
 and prints one `<sha256>  <path relative to DIR>` line per output file.
@@ -46,6 +49,10 @@ CONFIGS = {
         "batch": {"bands_cm": [[4, 8], [8, 16]], "rotation_deg": [20, 20, 20],
                   "trials": 2, "clutter": "both"},
     },
+    "noisefree": {
+        "detector": {"descriptor_noise_sigma": 0},
+        "batch": {"bands_cm": [[0, 1], [4, 8]], "trials": 2, "clutter": True},
+    },
 }
 # (output directory, command, config) in run order
 COMMANDS = (
@@ -54,6 +61,8 @@ COMMANDS = (
     ("batch", "batch", "batch"),
     ("stress", "batch", "stress"),
     ("stress", "run", "stress"),
+    ("noisefree", "run", "noisefree"),
+    ("noisefree", "batch", "noisefree"),
 )
 
 
