@@ -15,13 +15,11 @@ from .features import (
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    Twist,
     compose,
     integrate_twist,
     inverse,
     pixel_to_normalized,
     pose_error,
-    project,
     relative,
 )
 from .matching import (

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientFeatures, NonPositiveDepth
-from .geometry import Twist
 
 MIN_POINTS = 3  # below this, 2k < 6 and the twist is unconstrained
 
@@ -73,8 +72,9 @@ def pseudo_inverse(L: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return Vt.T @ (inv[:, None] * U.T)
 
 
-def control_law(e: np.ndarray, L_hat: np.ndarray, cfg: ControlConfig) -> Twist:
-    """Commanded camera twist: -gain * pinv(L_hat) @ e, optionally saturated."""
+def control_law(e: np.ndarray, L_hat: np.ndarray, cfg: ControlConfig) -> np.ndarray:
+    """Commanded camera twist (vx, vy, vz, wx, wy, wz): -gain * pinv(L_hat) @ e,
+    optionally saturated."""
     e = np.asarray(e, dtype=float).reshape(-1)
     L_hat = np.asarray(L_hat, dtype=float)
     if L_hat.ndim != 2 or L_hat.shape[1] != 6:
@@ -87,4 +87,4 @@ def control_law(e: np.ndarray, L_hat: np.ndarray, cfg: ControlConfig) -> Twist:
     if cfg.max_twist is not None:
         cap = np.abs(np.asarray(cfg.max_twist, dtype=float))
         v = np.clip(v, -cap, cap)
-    return Twist.from_vector(v)
+    return v

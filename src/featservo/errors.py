@@ -25,6 +25,10 @@ class NonFiniteStep(FeatServoError):
     """dt times the commanded twist overflows the pose step."""
 
 
+class InvalidFeatureSet(FeatServoError, ValueError):
+    """Keypoints that break the FeatureSet invariants, as detector output can."""
+
+
 class TooFewVisibleLandmarks(FeatServoError):
     """Target render sees fewer than 3 object landmarks."""
 

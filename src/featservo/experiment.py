@@ -167,7 +167,7 @@ class BatchSpec:
     clutter: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ConfigError("trials must be an integer >= 1")
         prev_hi = 0.0
         for lo, hi in self.bands_cm:
@@ -394,6 +394,8 @@ def load_config(path, seed: int | None = None) -> dict:
     cfg = _merge_strict(json.loads(json.dumps(_DEFAULT_CONFIG)), user)
     if seed is not None:
         cfg["seed"] = seed
+    if type(cfg["seed"]) is not int:
+        raise ConfigError("seed must be an integer")
     if cfg["batch"]["clutter"] not in (True, False, "both"):
         raise ConfigError("batch.clutter must be true, false, or \"both\"")
     _check_scene_and_grid(cfg)
@@ -423,7 +425,7 @@ def _check_scene_and_grid(cfg: dict) -> None:
         ("accuracy", "scenes", 1),
     ):
         value = cfg[table][key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        if type(value) is not int or value < low:
             raise ConfigError(f"{table}.{key} must be an integer >= {low}")
     sc = cfg["scene"]
     if not (_is_number(sc["box_size"]) and sc["box_size"] > 0):
@@ -517,7 +519,7 @@ def build_run_config(cfg: dict) -> ServoRunConfig:
 def default_goal_poses(camera_distance: float, count: int = 2) -> list[Pose]:
     """Goal cameras aimed at the object: straight-on, then slightly tilted."""
     tilts = [(8.0, 0.05), (-6.0, -0.04)]
-    if count not in range(1, len(tilts) + 2):
+    if type(count) is not int or count not in range(1, len(tilts) + 2):
         raise ValueError(f"goals must be an integer from 1 to {len(tilts) + 1}")
     goals = [Pose(np.eye(3), (0.0, 0.0, -camera_distance))]
     for deg, lateral in tilts[: count - 1]:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidFeatureSet
 from .geometry import CameraIntrinsics, Pose, project_many
 
 DESCRIPTOR_DIM = 256
@@ -31,29 +32,29 @@ class FeatureSet:
         scores = np.asarray(scores, dtype=float).reshape(-1)
         n = scores.size
         if pixels.shape != (n, 2) and not (n == 0 and pixels.size == 0):
-            raise ValueError(f"pixels shape {pixels.shape} != ({n}, 2)")
+            raise InvalidFeatureSet(f"pixels shape {pixels.shape} != ({n}, 2)")
         if n > 0 and descriptors.shape[0] != n:
-            raise ValueError("descriptor row count mismatch")
+            raise InvalidFeatureSet("descriptor row count mismatch")
         w, h = int(image_size[0]), int(image_size[1])
         # checks in positive form, so NaN (every comparison false) fails them
         if n > 0:
             if not np.all((pixels >= 0) & (pixels < (w, h))):
-                raise ValueError("keypoint pixel outside image bounds")
+                raise InvalidFeatureSet("keypoint pixel outside image bounds")
             if not np.all((scores >= 0) & (scores <= 1)):
-                raise ValueError("scores must lie in [0, 1]")
+                raise InvalidFeatureSet("scores must lie in [0, 1]")
             norms = np.sqrt(np.einsum("ij,ij->i", descriptors, descriptors))
             if not np.all(np.abs(norms - 1.0) <= 1e-6):
-                raise ValueError("descriptors must be finite and unit norm")
+                raise InvalidFeatureSet("descriptors must be finite and unit norm")
         if depths is not None:
             depths = np.asarray(depths, dtype=float).reshape(-1)
             if depths.size != n:
-                raise ValueError("depth count != keypoint count")
+                raise InvalidFeatureSet("depth count != keypoint count")
             if not np.all((depths > 0) & (depths < np.inf)):
-                raise ValueError("depths must be positive and finite")
+                raise InvalidFeatureSet("depths must be positive and finite")
         if landmark_ids is not None:
             landmark_ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
             if landmark_ids.size != n:
-                raise ValueError("landmark id count != keypoint count")
+                raise InvalidFeatureSet("landmark id count != keypoint count")
         if n == 0:
             d = descriptors.shape[1] if descriptors.ndim == 2 and descriptors.shape[1] else DESCRIPTOR_DIM
             descriptors = np.zeros((0, d))
@@ -84,10 +85,6 @@ class FeatureSet:
         return self.scores.size
 
     @property
-    def descriptor_dim(self) -> int:
-        return self.descriptors.shape[1] if len(self) else DESCRIPTOR_DIM
-
-    @property
     def sq_norms(self) -> np.ndarray:
         """Squared descriptor norms, computed on first use and kept."""
         if self._sq_norms is None:
@@ -114,12 +111,6 @@ class FeatureSet:
             None if self._sq_norms is None else self._sq_norms[idx],
         )
         return out
-
-    @staticmethod
-    def empty(image_size, descriptor_dim=DESCRIPTOR_DIM) -> "FeatureSet":
-        return FeatureSet(
-            np.zeros((0, 2)), np.zeros((0, descriptor_dim)), np.zeros(0), image_size
-        )
 
 
 @dataclass(frozen=True)
@@ -152,8 +143,6 @@ def landmark_scores(seed: int, ids) -> np.ndarray:
 
 def _order_by_score(pixels, scores):
     """Descending score; ties broken by pixel (u, v) ascending."""
-    if scores.size == 0:
-        return np.zeros(0, dtype=np.int64)
     return np.lexsort((pixels[:, 1], pixels[:, 0], -scores))
 
 
@@ -211,9 +200,6 @@ def synthetic_detect(
     keep = rng.random(idx.size) >= cfg.detection_dropout
     idx = idx[keep]
     n = idx.size
-    if n == 0:
-        return FeatureSet.empty((intrinsics.width, intrinsics.height), descriptors.shape[1])
-
     noisy_pixels = pixels[idx]
     if cfg.pixel_noise_sigma > 0:
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
@@ -231,7 +217,8 @@ def synthetic_detect(
     desc = descriptors[landmarks]
     if noise is not None:
         desc += noise[rows]
-    desc /= np.linalg.norm(desc, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowed norm fails FeatureSet's unit-norm check
+        desc /= np.linalg.norm(desc, axis=1, keepdims=True)
     return FeatureSet(
         noisy_pixels[rows],
         desc,

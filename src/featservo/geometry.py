@@ -2,7 +2,7 @@
 
 Conventions:
     - Pose stores the camera-in-world transform: X_world = R @ X_cam + t.
-    - Twists are (linear, angular) expressed in the camera frame.
+    - Twists are 6-vectors (vx, vy, vz, wx, wy, wz) in the camera frame.
     - Pixel coordinates are (u, v); normalized image-plane coordinates
       are x = (u - cx)/fx, y = (v - cy)/fy.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteStep, NonPositiveDepth
+from .errors import NonFiniteStep
 
 _MIN_DEPTH = 1e-9
 _SMALL_ANGLE = 1e-8
@@ -52,25 +52,9 @@ class Pose:
         self.rotation.setflags(write=False)
         self.translation.setflags(write=False)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 matrix."""
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
-
     def to_flat(self) -> list[float]:
         """12-number serialization: row-major rotation then translation."""
         return [*self.rotation.reshape(-1), *self.translation]
-
-    @staticmethod
-    def from_flat(values) -> "Pose":
-        v = np.asarray(values, dtype=float).reshape(12)
-        return Pose(v[:9].reshape(3, 3), v[9:])
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map world points (..., 3) into the camera frame."""
@@ -90,36 +74,12 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        if type(self.width) is not int or type(self.height) is not int:
+            raise ValueError("image width and height must be integers")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point outside image")
-
-
-@dataclass(frozen=True)
-class Twist:
-    """Camera spatial velocity (m/s, rad/s) in the camera frame."""
-
-    linear: np.ndarray
-    angular: np.ndarray
-
-    def __post_init__(self):
-        lin = np.asarray(self.linear, dtype=float).reshape(3)
-        ang = np.asarray(self.angular, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(lin)) and np.all(np.isfinite(ang))):
-            raise ValueError("twist components must be finite")
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "angular", ang)
-        self.linear.setflags(write=False)
-        self.angular.setflags(write=False)
-
-    @staticmethod
-    def from_vector(v) -> "Twist":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return Twist(v[:3], v[3:])
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.linear, self.angular])
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -187,26 +147,16 @@ def _reorthonormalize(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_twist(pose: Pose, twist: Twist, dt: float) -> Pose:
-    """Advance the camera pose by dt under a body-frame twist: P o exp(dt*v).
-    Raises NonFiniteStep when dt*v overflows the step."""
+def integrate_twist(pose: Pose, twist: np.ndarray, dt: float) -> Pose:
+    """Advance the camera pose by dt under a body-frame twist 6-vector:
+    P o exp(dt*v), reorthonormalized. Raises NonFiniteStep when dt*v is not
+    finite or overflows the step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFiniteStep
-        step = se3_exp(dt * twist.as_vector())
-    new = compose(pose, step)
-    return Pose(_reorthonormalize(new.rotation), new.translation)
-
-
-def project(point, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, float]:
-    """Project a camera-frame point to (pixel, depth)."""
-    p = np.asarray(point, dtype=float).reshape(3)
-    Z = p[2]
-    if Z <= _MIN_DEPTH:
-        raise NonPositiveDepth(f"point depth {Z} <= {_MIN_DEPTH}")
-    u = intrinsics.cx + intrinsics.fx * p[0] / Z
-    v = intrinsics.cy + intrinsics.fy * p[1] / Z
-    return np.array([u, v]), float(Z)
+        step = se3_exp(np.multiply(dt, twist))
+    R = pose.rotation
+    return Pose(_reorthonormalize(R @ step.rotation), R @ step.translation + pose.translation)
 
 
 def project_many(points: np.ndarray, intrinsics: CameraIntrinsics):

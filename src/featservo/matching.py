@@ -29,7 +29,7 @@ class RansacConfig:
     def __post_init__(self):
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
@@ -48,43 +48,14 @@ class CorrespondenceSet:
     def __len__(self) -> int:
         return self.distances.size
 
-    def take(self, indices) -> "CorrespondenceSet":
-        idx = np.asarray(indices, dtype=np.int64)
-        return CorrespondenceSet(
-            self.current_indices[idx],
-            self.target_indices[idx],
-            self.distances[idx],
-            self.current_pixels[idx],
-            self.target_pixels[idx],
-        )
-
 
 @dataclass(frozen=True)
-class InlierSet:
-    """RANSAC-accepted subset of a CorrespondenceSet plus the accepted model."""
+class InlierSet(CorrespondenceSet):
+    """The RANSAC-accepted pairs of a CorrespondenceSet, with their rows in it
+    and the accepted model."""
 
-    correspondences: CorrespondenceSet  # parent set
-    indices: np.ndarray  # (l,) into the parent's pair list
+    indices: np.ndarray  # (l,) rows of the matched set, ascending
     model: np.ndarray  # 3x3 homography mapping current -> target pixels
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-    @property
-    def current_indices(self) -> np.ndarray:
-        return self.correspondences.current_indices[self.indices]
-
-    @property
-    def target_indices(self) -> np.ndarray:
-        return self.correspondences.target_indices[self.indices]
-
-    @property
-    def current_pixels(self) -> np.ndarray:
-        return self.correspondences.current_pixels[self.indices]
-
-    @property
-    def target_pixels(self) -> np.ndarray:
-        return self.correspondences.target_pixels[self.indices]
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
@@ -331,7 +302,16 @@ def ransac_inliers(
 
     if best_mask is None or best_count < MIN_SAMPLE:
         raise TooFewCorrespondences("no non-degenerate consensus found")
-    return InlierSet(C, np.flatnonzero(best_mask).astype(np.int64), best_model)
+    keep = np.flatnonzero(best_mask)
+    return InlierSet(
+        C.current_indices[keep],
+        C.target_indices[keep],
+        C.distances[keep],
+        src[keep],
+        dst[keep],
+        indices=keep,
+        model=best_model,
+    )
 
 
 def tracking_update(

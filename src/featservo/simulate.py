@@ -223,9 +223,9 @@ class ServoRunConfig:
             raise ValueError("tracking_threshold must be a number")
         if self.success_threshold <= 0:
             raise ValueError("success_threshold must be positive")
-        if not isinstance(self.max_cycles, int) or self.max_cycles < 1:
+        if type(self.max_cycles) is not int or self.max_cycles < 1:
             raise ValueError("max_cycles must be an integer >= 1")
-        if not isinstance(self.top_k, int) or self.top_k < 0:
+        if type(self.top_k) is not int or self.top_k < 0:
             raise ValueError("top_k must be an integer >= 0")
 
 
@@ -342,7 +342,7 @@ class ServoLoop:
         record = CycleRecord(
             cycle=self.cycle,
             pose=self.pose,
-            twist=twist.as_vector(),
+            twist=twist,
             n_correspondences=len(C),
             n_inliers=len(R),
             mean_error=mean_error,

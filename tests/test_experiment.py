@@ -422,6 +422,18 @@ class TestCli:
             # an integer literal that no float can hold
             pytest.param('{"servo": {"dt": 1%s}}' % ("0" * 400), "run", id="dt-int-1e400"),
             pytest.param('{"control": {"gain": 1%s}}' % ("0" * 5000), "run", id="gain-int-1e5000"),
+            # an image size that is not an integer
+            pytest.param({"camera": {"width": 200.9}}, "run", id="width-200.9"),
+            pytest.param({"camera": {"width": 180.9}}, "run", id="width-180.9"),
+            pytest.param({"camera": {"width": 240.9}}, "run", id="width-240.9"),
+            pytest.param({"camera": {"height": 180.9}}, "run", id="height-180.9"),
+            # a bool where an integer is required
+            pytest.param({"batch": {"trials": True}}, "batch", id="trials-true"),
+            pytest.param({"servo": {"max_cycles": True}}, "run", id="max_cycles-true"),
+            pytest.param({"servo": {"top_k": False}}, "run", id="top_k-false"),
+            pytest.param({"ransac": {"max_iterations": True}}, "run", id="max_iterations-true"),
+            pytest.param({"accuracy": {"goals": True}}, "accuracy", id="goals-true"),
+            pytest.param({"seed": True}, "run", id="seed-true"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):
@@ -442,6 +454,17 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflowing_descriptor_noise_exits_4(self, tmp_path, capsys):
+        # finite, so check passes; the noisy descriptors' squared norms then
+        # overflow, and the detector's output fails the FeatureSet checks
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"detector": {"descriptor_noise_sigma": 1e160}}))
+        assert main(["check", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: descriptors must be finite and unit norm\n"
 
     @pytest.mark.parametrize("command", ["check", "run", "accuracy", "batch"])
     def test_negative_seed_override_rejected(self, command, tiny_config, tmp_path, capsys):

@@ -11,7 +11,7 @@ from featservo.features import (
     synthetic_detect,
     top_k,
 )
-from featservo.geometry import Pose, project, se3_exp
+from featservo.geometry import Pose, project_many, se3_exp
 from featservo.simulate import Scene, make_box_scene
 
 
@@ -106,7 +106,6 @@ class TestFeatureSet:
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable
-        assert sub.descriptor_dim == built.descriptor_dim
         assert sub.sq_norms.tobytes() == built.sq_norms.tobytes()
 
     def test_subset_of_subset(self):
@@ -147,15 +146,28 @@ class TestSyntheticDetect:
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
         fs = synthetic_detect(axis_scene, camera, intrinsics, SyntheticDetectorConfig())
         assert len(fs) == 1
-        expected, depth = project(camera.world_to_camera(axis_scene.object_points[0]), intrinsics)
-        assert np.array_equal(fs.pixels[0], expected)
-        assert fs.depths[0] == depth == 0.4
+        expected, depth = project_many(camera.world_to_camera(axis_scene.object_points), intrinsics)
+        assert np.array_equal(fs.pixels[0], expected[0])
+        assert fs.depths[0] == depth[0] == 0.4
         assert np.array_equal(fs.descriptors[0], axis_scene.object_descriptors[0])
 
-    def test_full_dropout_gives_empty_set(self, axis_scene, intrinsics):
+    def test_full_dropout_gives_empty_set(self, intrinsics):
+        # with every row dropped, the size-0 noise draws leave the generator
+        # where the one dropout draw over the visible rows left it
+        scene = make_box_scene(seed=12)
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
-        cfg = SyntheticDetectorConfig(detection_dropout=1.0)
-        assert len(synthetic_detect(axis_scene, camera, intrinsics, cfg)) == 0
+        points = scene.current_view_landmarks()[0]
+        n_visible = int(_visible(scene, points, camera, intrinsics)[2].sum())
+        cfg = SyntheticDetectorConfig(
+            detection_dropout=1.0, pixel_noise_sigma=0.3, descriptor_noise_sigma=0.02
+        )
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        fs = synthetic_detect(scene, camera, intrinsics, cfg, rng)
+        ref.random(n_visible)
+        assert n_visible > 0
+        assert fs.pixels.shape == (0, 2) and fs.descriptors.shape == (0, 256)
+        assert len(fs) == fs.depths.size == fs.landmark_ids.size == 0
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_deterministic_given_seed(self, intrinsics):
         scene = make_box_scene(seed=5, n_clutter=20)
@@ -206,7 +218,10 @@ def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
     idx = idx[keep]
     n = idx.size
     if n == 0:
-        return FeatureSet.empty((intrinsics.width, intrinsics.height), descriptors.shape[1])
+        return FeatureSet(
+            np.zeros((0, 2)), np.zeros((0, descriptors.shape[1])), np.zeros(0),
+            (intrinsics.width, intrinsics.height),
+        )
     noisy_pixels = pixels[idx]
     if cfg.pixel_noise_sigma > 0:
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
@@ -254,8 +269,8 @@ class TestDetectMatchesOldBody:
             new = synthetic_detect(scene, camera, intrinsics, cfg, new_rng)
             old = old_synthetic_detect(scene, camera, intrinsics, cfg, old_rng)
             for a, b in zip(TestFeatureSet._fields(new), TestFeatureSet._fields(old)):
-                if a is None or b is None:  # an empty set from full dropout
-                    assert a is None and b is None
+                if b is None:  # the old body's empty set had no depths or ids
+                    assert a.size == 0
                 else:
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert new_rng.bit_generator.state == old_rng.bit_generator.state

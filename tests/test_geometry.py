@@ -3,24 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featservo.errors import NonFiniteStep, NonPositiveDepth
+from featservo.errors import NonFiniteStep
 from featservo.geometry import (
     CameraIntrinsics,
     Pose,
-    Twist,
     _as_rotation,
+    _reorthonormalize,
     compose,
     integrate_twist,
     inverse,
     pixel_to_normalized,
     pose_error,
-    project,
+    project_many,
     relative,
     rotation_angle,
     se3_exp,
 )
 
 from conftest import random_pose
+
+IDENTITY = Pose(np.eye(3), np.zeros(3))
+
+
+def matrix(pose):
+    """Homogeneous 4x4 matrix of a pose."""
+    T = np.eye(4)
+    T[:3, :3] = pose.rotation
+    T[:3, 3] = pose.translation
+    return T
+
+
+def project(point, intrinsics):
+    """(pixel, depth) of one camera-frame point."""
+    pixels, depths = project_many(point, intrinsics)
+    return pixels[0], depths[0]
 
 
 class TestProject:
@@ -34,11 +50,12 @@ class TestProject:
         assert np.allclose(pixel, (190.0, 120.0))  # 160 + 600 * 0.05
         assert depth == 2.0
 
-    def test_behind_camera_raises(self, intrinsics):
-        with pytest.raises(NonPositiveDepth):
-            project((0.0, 0.0, -1.0), intrinsics)
-        with pytest.raises(NonPositiveDepth):
-            project((0.1, 0.2, 0.0), intrinsics)
+    def test_behind_camera_gives_nan_pixels(self, intrinsics):
+        points = [(0.0, 0.0, -1.0), (0.1, 0.2, 0.0), (0.1, 0.2, 1e-9), (0.0, 0.0, 2.0)]
+        pixels, depths = project_many(points, intrinsics)
+        assert np.all(np.isnan(pixels[:3]))
+        assert np.array_equal(pixels[3], (160.0, 120.0))
+        assert np.array_equal(depths, [-1.0, 0.0, 1e-9, 2.0])
 
     def test_point_may_leave_image(self, intrinsics):
         pixel, _ = project((5.0, 0.0, 1.0), intrinsics)
@@ -66,27 +83,27 @@ class TestGroupOps:
     def test_compose_with_identity(self):
         rng = np.random.default_rng(0)
         P = random_pose(rng)
-        Q = compose(P, Pose.identity())
+        Q = compose(P, IDENTITY)
         assert np.allclose(Q.rotation, P.rotation)
         assert np.allclose(Q.translation, P.translation)
 
     def test_relative_of_self_is_identity(self):
         P = random_pose(np.random.default_rng(1))
         rel = relative(P, P)
-        assert np.allclose(rel.matrix(), np.eye(4), atol=1e-12)
+        assert np.allclose(matrix(rel), np.eye(4), atol=1e-12)
 
     def test_compose_inverse_is_identity(self):
         P = random_pose(np.random.default_rng(2))
-        assert np.allclose(compose(P, inverse(P)).matrix(), np.eye(4), atol=1e-9)
+        assert np.allclose(matrix(compose(P, inverse(P))), np.eye(4), atol=1e-9)
 
     def test_relative_matches_dense_matrix_oracle(self):
         rng = np.random.default_rng(3)
         A, B = random_pose(rng), random_pose(rng)
-        expected = np.linalg.inv(A.matrix()) @ B.matrix()
-        assert np.allclose(relative(A, B).matrix(), expected, atol=1e-12)
+        expected = np.linalg.inv(matrix(A)) @ matrix(B)
+        assert np.allclose(matrix(relative(A, B)), expected, atol=1e-12)
 
     def test_pose_error_extracts_magnitudes(self):
-        A = Pose.identity()
+        A = IDENTITY
         B = se3_exp([0.3, 0, 0, 0, 0, 0.2])
         t_err, r_err = pose_error(A, B)
         assert r_err == pytest.approx(0.2, abs=1e-9)
@@ -95,48 +112,68 @@ class TestGroupOps:
 
 class TestIntegrateTwist:
     def test_pure_translation(self):
-        P = integrate_twist(Pose.identity(), Twist((1, 0, 0), (0, 0, 0)), 0.5)
+        P = integrate_twist(IDENTITY, np.array([1.0, 0, 0, 0, 0, 0]), 0.5)
         assert np.allclose(P.translation, (0.5, 0, 0))
         assert np.allclose(P.rotation, np.eye(3))
 
     def test_zero_twist(self):
-        P = integrate_twist(Pose.identity(), Twist((0, 0, 0), (0, 0, 0)), 1.0)
-        assert np.allclose(P.matrix(), np.eye(4))
+        P = integrate_twist(IDENTITY, np.zeros(6), 1.0)
+        assert np.allclose(matrix(P), np.eye(4))
 
     def test_z_rotation_matches_closed_form(self):
-        P = integrate_twist(Pose.identity(), Twist((0, 0, 0), (0, 0, np.pi)), 1.0)
+        P = integrate_twist(IDENTITY, np.array([0, 0, 0, 0, 0, np.pi]), 1.0)
         Rz = np.array([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], dtype=float)
         assert np.allclose(P.rotation, Rz, atol=1e-12)
         assert np.allclose(P.translation, 0, atol=1e-12)
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
-            integrate_twist(Pose.identity(), Twist((0, 0, 0), (0, 0, 0)), 0.0)
+            integrate_twist(IDENTITY, np.zeros(6), 0.0)
 
     @pytest.mark.parametrize("dt", [1e200, 1e308])
     def test_overflowing_step_raises(self, dt):
         # |dt * w| overflows to inf: the rotation would be NaN
         with pytest.raises(NonFiniteStep):
-            integrate_twist(Pose.identity(), Twist((0.1, 0, 0), (0.1, 0.2, 0)), dt)
+            integrate_twist(IDENTITY, np.array([0.1, 0, 0, 0.1, 0.2, 0]), dt)
 
     def test_screw_reversal_is_identity(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            v = Twist(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+            v = rng.uniform(-1, 1, 6)
             dt = rng.uniform(0.01, 0.9)  # keeps |w| dt < pi
-            P = integrate_twist(Pose.identity(), v, dt)
-            back = Twist(-v.linear, -v.angular)
-            Q = integrate_twist(P, back, dt)
-            assert np.allclose(Q.matrix(), np.eye(4), atol=1e-9)
+            P = integrate_twist(IDENTITY, v, dt)
+            Q = integrate_twist(P, -v, dt)
+            assert np.allclose(matrix(Q), np.eye(4), atol=1e-9)
 
     def test_orthonormality_drift_over_many_steps(self):
-        pose = Pose.identity()
-        v = Twist((0.01, -0.02, 0.005), (0.3, -0.1, 0.25))
+        pose = IDENTITY
+        v = np.array([0.01, -0.02, 0.005, 0.3, -0.1, 0.25])
         for _ in range(10_000):
             pose = integrate_twist(pose, v, 0.01)
         drift = np.linalg.norm(pose.rotation.T @ pose.rotation - np.eye(3))
         assert drift < 1e-9
         assert np.linalg.det(pose.rotation) == pytest.approx(1.0, abs=1e-9)
+
+    def test_equals_compose_then_reorthonormalize(self):
+        # the pose step as P o exp(dt v) through compose, then projected onto
+        # SO(3): integrate_twist takes the same float steps, bit for bit
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            pose = random_pose(rng)
+            v, dt = rng.normal(0.0, 1.0, 6), rng.uniform(0.001, 0.5)
+            composed = compose(pose, se3_exp(dt * v))
+            expected = Pose(_reorthonormalize(composed.rotation), composed.translation)
+            got = integrate_twist(pose, v, dt)
+            assert got.rotation.tobytes() == expected.rotation.tobytes()
+            assert got.translation.tobytes() == expected.translation.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [0, 2, 3, 5])
+    def test_nonfinite_twist_raises(self, bad, entry):
+        v = np.full(6, 0.1)
+        v[entry] = bad
+        with pytest.raises(NonFiniteStep):
+            integrate_twist(IDENTITY, v, 0.05)
 
     def test_small_angle_branch(self):
         P = se3_exp([0.1, 0.2, 0.3, 1e-12, 0, 0])
@@ -147,8 +184,9 @@ class TestIntegrateTwist:
 class TestPoseBasics:
     def test_flat12_round_trip(self):
         P = random_pose(np.random.default_rng(5))
-        Q = Pose.from_flat(P.to_flat())
-        assert np.allclose(P.matrix(), Q.matrix(), atol=0)
+        flat = np.array(P.to_flat())
+        Q = Pose(flat[:9].reshape(3, 3), flat[9:])
+        assert matrix(P).tobytes() == matrix(Q).tobytes()
 
     def test_rejects_non_orthonormal_rotation(self):
         with pytest.raises(ValueError):
@@ -235,6 +273,7 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(600.0, 600.0, 400.0, 120.0, 320, 240)
 
-    def test_twist_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Twist((np.inf, 0, 0), (0, 0, 0))
+    @pytest.mark.parametrize("width, height", [(200.9, 240), (320, 240.0), (True, 240)])
+    def test_rejects_non_integer_size(self, width, height):
+        with pytest.raises(ValueError, match="integers"):
+            CameraIntrinsics(600.0, 600.0, 0.0, 0.0, width, height)

@@ -83,7 +83,7 @@ class TestMatchNN:
 
     def test_empty_inputs(self):
         fs = feature_set([[1.0, 1.0]], unit_descriptors(1))
-        empty = FeatureSet.empty((320, 240), 32)
+        empty = FeatureSet(np.zeros((0, 2)), np.zeros((0, 32)), np.zeros(0), (320, 240))
         assert len(match_nn(fs, empty)) == 0
         assert len(match_nn(empty, fs)) == 0
 
@@ -613,6 +613,25 @@ class TestRansac:
         resid = symmetric_transfer_error(R.model, R.current_pixels, R.target_pixels)
         assert np.all(resid <= cfg.inlier_threshold)
 
+    @pytest.mark.parametrize("outlier_frac", [0.0, 0.4, 0.8])
+    def test_inlier_fields_are_the_parent_rows(self, outlier_frac):
+        # parent pairs with shuffled feature indices and distinct distances,
+        # so each field's gather at `indices` is checked against its own row
+        planted, n_in = planted_pairs(21, 40, outlier_frac)
+        rng = np.random.default_rng(22)
+        C = CorrespondenceSet(
+            rng.permutation(40), rng.permutation(40) + 100, np.sort(rng.uniform(0, 1, 40)),
+            planted.current_pixels, planted.target_pixels,
+        )
+        R = ransac_inliers(C, RansacConfig(seed=5))
+        assert np.array_equal(R.indices, np.arange(n_in))
+        assert len(R) == R.indices.size == n_in
+        for field in ("current_indices", "target_indices", "distances",
+                      "current_pixels", "target_pixels"):
+            got, parent = getattr(R, field), getattr(C, field)
+            assert got.tobytes() == parent[R.indices].tobytes(), field
+            assert got.shape == parent[R.indices].shape, field
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=0.0)
@@ -635,11 +654,9 @@ def make_target(n, seed=0):
 def inliers_over(target, target_indices):
     n = len(target_indices)
     idx = np.asarray(target_indices, dtype=np.int64)
-    C = CorrespondenceSet(
-        np.arange(n, dtype=np.int64), idx, np.zeros(n),
-        target.pixels[idx], target.pixels[idx],
-    )
-    return InlierSet(C, np.arange(n, dtype=np.int64), np.eye(3))
+    rows = np.arange(n, dtype=np.int64)
+    pixels = target.pixels[idx]
+    return InlierSet(rows, idx, np.zeros(n), pixels, pixels, indices=rows, model=np.eye(3))
 
 
 class TestTracking:
