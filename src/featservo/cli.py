@@ -29,7 +29,7 @@ from .experiment import (
     write_accuracy_csv,
     write_batch_csv,
 )
-from .simulate import run_servo, write_trace_csv, write_trace_summary
+from .simulate import render_target, run_servo, write_trace_csv, write_trace_summary
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +58,10 @@ def _prepare(args):
 
 
 def _cmd_check(args) -> int:
-    load_config(args.config, seed=args.seed)
+    cfg = load_config(args.config, seed=args.seed)
+    # render run's target view, as run does first: it must show 3 landmarks
+    run_cfg = build_run_config(cfg)
+    render_target(build_scene(cfg), run_cfg.target_pose, run_cfg.intrinsics)
     print(f"{args.config}: OK")
     return 0
 

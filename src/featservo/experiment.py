@@ -394,6 +394,7 @@ def load_config(path, seed: int | None = None) -> dict:
     cfg = _merge_strict(json.loads(json.dumps(_DEFAULT_CONFIG)), user)
     if seed is not None:
         cfg["seed"] = seed
+    _reject_booleans(cfg)
     if type(cfg["seed"]) is not int:
         raise ConfigError("seed must be an integer")
     if cfg["batch"]["clutter"] not in (True, False, "both"):
@@ -408,6 +409,21 @@ def load_config(path, seed: int | None = None) -> dict:
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     return cfg
+
+
+def _reject_booleans(value, where: str = "") -> None:
+    """`true` and `false` are not numbers, and no config value but
+    batch.clutter takes one, so a bool anywhere else is an error."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, not {json.dumps(value)}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else key
+            if path != "batch.clutter":
+                _reject_booleans(item, path)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_booleans(item, f"{where}[{i}]")
 
 
 def _is_number(value) -> bool:

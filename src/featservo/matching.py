@@ -1,7 +1,7 @@
-"""Descriptor nearest-neighbour matching, RANSAC outlier rejection with
-closed-form 4-point homography hypotheses and a normalized-DLT local refit,
-and the tracking lock that restricts matching to the previous cycle's
-inlier targets near convergence.
+"""Descriptor nearest-neighbour matching, RANSAC outlier rejection seeded by
+a prior model, with closed-form 4-point homography hypotheses and a
+normalized-DLT local refit, and the tracking lock that restricts matching
+to the previous cycle's inlier targets near convergence.
 """
 
 from __future__ import annotations
@@ -127,45 +127,60 @@ def match_nn(
 def _normalize_points(pts: np.ndarray):
     """Hartley normalization of (..., n, 2) point sets: zero centroid, mean
     distance sqrt(2); returns the normalized points and the (..., 3, 3) T."""
-    c = pts.mean(axis=-2, keepdims=True)
-    scale = np.sqrt(2.0) / (np.mean(np.linalg.norm(pts - c, axis=-1), axis=-1) + 1e-12)
+    n = pts.shape[-2]
+    c = pts.sum(axis=-2, keepdims=True) / n
+    d = pts - c
+    scale = np.sqrt(2.0) / (np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2).sum(axis=-1) / n + 1e-12)
     T = np.zeros(scale.shape + (3, 3))
     T[..., 0, 0] = T[..., 1, 1] = scale
     T[..., 0, 2] = -scale * c[..., 0, 0]
     T[..., 1, 2] = -scale * c[..., 0, 1]
     T[..., 2, 2] = 1.0
-    return (pts - c) * scale[..., None, None], T
+    return d * scale[..., None, None], T
 
 
-def _dlt(src: np.ndarray, dst: np.ndarray):
-    """Normalized DLT over a stack of (..., n, 2) correspondence sets, n >= 5
-    (with fewer rows the thin SVD of the 2n x 9 system lacks its null vector).
+def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+    """Normalized DLT of n >= 5 pairs, scaled to H[2, 2] = 1; None if degenerate.
 
-    Returns the (..., 3, 3) models scaled to H[2, 2] = 1 and a mask of the
-    non-degenerate ones.
+    The 2n x 9 system A of the Hartley-normalized pairs has the rows
+    (p, 0, -u p) and (0, p, -v p), p = (x, y, 1). Its 9x9 normal matrix
+    M = A^T A is assembled from the 3x3 blocks of one product
+    P^T [P, uP, vP, (u^2 + v^2) P], and the model is the eigenvector of M's
+    smallest eigenvalue. A second eigenvalue near zero (three, when all
+    source points lie on one line) leaves the model unfixed. One Newton
+    step, with the gradient A^T A h taken through the residuals A h, undoes
+    the error that squaring A into M adds: the model then lies within
+    rounding of the exact null vector of A, as close as the SVD's.
     """
-    n = src.shape[-2]
+    n = src.shape[0]
     (sn, dn), (Ts, Td) = _normalize_points(np.stack([src, dst]))
-    A = np.zeros(src.shape[:-2] + (2 * n, 9))
-    x, y = sn[..., 0], sn[..., 1]
-    u, v = dn[..., 0], dn[..., 1]
-    A[..., 0::2, 0] = x
-    A[..., 0::2, 1] = y
-    A[..., 0::2, 2] = 1.0
-    A[..., 0::2, 6] = -u * x
-    A[..., 0::2, 7] = -u * y
-    A[..., 0::2, 8] = -u
-    A[..., 1::2, 3] = x
-    A[..., 1::2, 4] = y
-    A[..., 1::2, 5] = 1.0
-    A[..., 1::2, 6] = -v * x
-    A[..., 1::2, 7] = -v * y
-    A[..., 1::2, 8] = -v
-    Vt = np.linalg.svd(A, full_matrices=False)[2]
-    Hn = Vt[..., -1, :].reshape(src.shape[:-2] + (3, 3))
-    H = np.linalg.inv(Td) @ Hn @ Ts
-    bad = np.abs(H[..., 2, 2]) < 1e-12
-    return H / np.where(bad, 1.0, H[..., 2, 2])[..., None, None], ~bad
+    P = np.ones((n, 3))
+    P[:, :2] = sn
+    W = np.ones((n, 4))
+    W[:, 1:3] = dn
+    W[:, 3] = dn[:, 0] ** 2 + dn[:, 1] ** 2
+    G = P.T @ (W[:, :, None] * P[:, None, :]).reshape(n, 12)
+    # eigh reads the lower triangle only
+    M = np.zeros((9, 9))
+    M[0:3, 0:3] = M[3:6, 3:6] = G[:, 0:3]
+    M[6:9, 0:3] = -G[:, 3:6].T
+    M[6:9, 3:6] = -G[:, 6:9].T
+    M[6:9, 6:9] = G[:, 9:12]
+    ev, V = np.linalg.eigh(M)
+    if ev[1] <= 1e-12 * ev[8]:
+        return None
+    h, B = V[:, 0], V[:, 1:]
+    q = P @ h.reshape(3, 3).T
+    r = q[:, :2] - dn * q[:, 2:]  # the residuals A h, one (x, y) row per pair
+    E = np.empty((n, 3))
+    E[:, :2] = r
+    E[:, 2] = -(r[:, 0] * dn[:, 0] + r[:, 1] * dn[:, 1])
+    grad = (E.T @ P).ravel()  # A^T A h
+    h = h - B @ ((grad @ B) / (ev[1:] - ev[0]))
+    H = np.linalg.inv(Td) @ h.reshape(3, 3) @ Ts
+    if abs(H[2, 2]) < 1e-12:
+        return None
+    return H / H[2, 2]
 
 
 def _minimal_fit(src: np.ndarray, dst: np.ndarray):
@@ -203,15 +218,14 @@ def fit_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     """Homography mapping src onto dst pixels, scaled to H[2, 2] = 1; None if
     degenerate. Four pairs take the closed form of `_minimal_fit`, which
     rejects three near-collinear points on either side; more take the
-    normalized DLT."""
+    normalized DLT of `_dlt`."""
     if src.shape[0] < 4:
         return None
     if src.shape[0] == 4:
         H, ok = _minimal_fit(src[None], dst[None])
         H, ok = H[0], ok[0] and abs(H[0, 2, 2]) >= 1e-12
         return H / H[2, 2] if ok else None
-    H, ok = _dlt(src, dst)
-    return H if ok else None
+    return _dlt(src, dst)
 
 
 def _apply_homography(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -246,20 +260,42 @@ def _one_sided_inliers(H, src, dst, threshold):
     return (r[..., 0] ** 2 + r[..., 1] ** 2 <= threshold**2 * w**2) & (w > 0)
 
 
+def _iteration_bound(count: int, n: int, cfg: RansacConfig) -> int:
+    """Hypotheses needed, by the standard confidence formula, to draw one
+    all-inlier sample when `count` of the n pairs are inliers; 0 when all are."""
+    w = count / n
+    if w >= 1.0:
+        return 0
+    denom = np.log1p(-min(w**MIN_SAMPLE, 1 - 1e-12))
+    return min(cfg.max_iterations, int(np.ceil(np.log1p(-cfg.confidence) / denom)))
+
+
 def ransac_inliers(
-    C: CorrespondenceSet, cfg: RansacConfig, rng: np.random.Generator | None = None
+    C: CorrespondenceSet,
+    cfg: RansacConfig,
+    rng: np.random.Generator | None = None,
+    prior: np.ndarray | None = None,
 ) -> InlierSet:
     """Largest homography consensus over the correspondence set.
+
+    A `prior` model (the previous cycle's, in the servo loop) is scored
+    first by the symmetric transfer error. When it holds every pair it is
+    returned with all of them, and no hypothesis is drawn. When it holds at
+    least MIN_SAMPLE pairs it is refit on them, the refit kept when it holds
+    at least as many, and that count is the best so far, both for the
+    returned set and for the one-sided support a chunk's hypothesis must
+    beat to be refit; fewer, and it is dropped.
 
     Hypotheses are drawn CHUNK at a time, one `rng.random` call per chunk,
     fitted in closed form (a degenerate sample gets the zero model, which
     holds no pair) and scored by their one-sided transfer error. Each
     chunk's best hypothesis, when it beats every earlier one, is refit on
     its support and re-thresholded by the symmetric transfer error (local
-    optimisation); that count picks the returned set and sets the adaptive
-    iteration bound from the standard confidence formula. Every returned pair satisfies the
-    threshold under the returned model. Bit-reproducible for a fixed
-    (input, seed) when no generator is given.
+    optimisation); a count above the best so far picks the returned set and
+    sets the adaptive iteration bound from the standard confidence formula.
+    Every returned pair satisfies the threshold under the returned model.
+    Bit-reproducible for a fixed (input, seed, prior) when no generator is
+    given.
     """
     n = len(C)
     if n < MIN_SAMPLE:
@@ -272,6 +308,20 @@ def ransac_inliers(
     best_count = best_support = 0
     best_mask = best_model = None
     limit = cfg.max_iterations
+    if prior is not None:
+        model, mask = prior, symmetric_transfer_error(prior, src, dst) <= t
+        count = int(mask.sum())
+        if MIN_SAMPLE <= count < n:
+            # local optimisation, kept when it holds at least as many pairs
+            refit = fit_homography(src[mask], dst[mask])
+            if refit is not None:
+                refit_mask = symmetric_transfer_error(refit, src, dst) <= t
+                if refit_mask.sum() >= count:
+                    model, mask, count = refit, refit_mask, int(refit_mask.sum())
+        if count >= MIN_SAMPLE:
+            best_support = best_count = count
+            best_mask, best_model = mask, model
+            limit = _iteration_bound(count, n, cfg)
     it = 0
     while it < limit:
         k = min(CHUNK, limit - it)
@@ -294,11 +344,7 @@ def ransac_inliers(
         count = int(mask.sum())
         if count > best_count:
             best_count, best_mask, best_model = count, mask, model
-            w = count / n
-            if w >= 1.0:
-                break
-            denom = np.log1p(-min(w**MIN_SAMPLE, 1 - 1e-12))
-            limit = min(cfg.max_iterations, int(np.ceil(np.log1p(-cfg.confidence) / denom)))
+            limit = _iteration_bound(count, n, cfg)
 
     if best_mask is None or best_count < MIN_SAMPLE:
         raise TooFewCorrespondences("no non-degenerate consensus found")

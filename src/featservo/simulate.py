@@ -279,6 +279,9 @@ class ServoLoop:
         # to the next, and match_nn can then reuse the last match
         self._reuse_match = cfg.detector.descriptor_noise_sigma == 0
         self._last_match = None  # (current descriptors, target descriptors, pairs)
+        # the last cycle's model seeds RANSAC; None on cycle 1 and after a
+        # failed cycle
+        self._prior: np.ndarray | None = None
 
     def step(self) -> CycleRecord:
         cfg = self.cfg
@@ -295,8 +298,9 @@ class ServoLoop:
         if self._reuse_match:
             self._last_match = (current.descriptors, target.descriptors, C)
         try:
-            R = ransac_inliers(C, cfg.ransac, rng=self._ransac_rng)
+            R = ransac_inliers(C, cfg.ransac, rng=self._ransac_rng, prior=self._prior)
         except TooFewCorrespondences:
+            self._prior = None
             # the only way a cycle fails: RANSAC keeps at least 4 pairs, and
             # the control law needs 3 points
             event = "insufficient_features"
@@ -317,6 +321,7 @@ class ServoLoop:
                 event=event,
             )
 
+        self._prior = R.model
         current_px, target_px = R.current_pixels, R.target_pixels
         s = pixel_to_normalized(current_px, cfg.intrinsics).reshape(-1)
         s_star = pixel_to_normalized(target_px, cfg.intrinsics).reshape(-1)

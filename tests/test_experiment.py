@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featservo.cli import main
-from featservo.errors import ConfigError
+from featservo.errors import ConfigError, TooFewVisibleLandmarks
 from featservo.experiment import (
     BatchResult,
     BatchSpec,
@@ -32,7 +32,7 @@ from featservo.experiment import (
     write_batch_csv,
 )
 from featservo.geometry import Pose, compose, rotation_angle, se3_exp
-from featservo.simulate import ServoRunConfig, make_box_scene, run_servo
+from featservo.simulate import ServoLoop, ServoRunConfig, make_box_scene, run_servo
 
 
 @pytest.fixture
@@ -342,9 +342,17 @@ class TestConfigProperty:
             # the full config, dumped, loads back unchanged
             path.write_text(json.dumps(cfg))
             assert load_config(path) == cfg
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                assert main(["check", "--config", str(path)]) == 0
-            assert "OK" in out.getvalue()
+            # check renders run's target view, so it fails (exit 4) exactly
+            # when run's loop cannot start: that view shows under 3 landmarks
+            try:
+                ServoLoop(build_scene(cfg), build_run_config(cfg))
+                expected = 0
+            except TooFewVisibleLandmarks:
+                expected = 4
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(["check", "--config", str(path)]) == expected
+            assert ("OK" in out.getvalue()) == (expected == 0)
 
 
 class TestCli:
@@ -434,6 +442,17 @@ class TestCli:
             pytest.param({"ransac": {"max_iterations": True}}, "run", id="max_iterations-true"),
             pytest.param({"accuracy": {"goals": True}}, "accuracy", id="goals-true"),
             pytest.param({"seed": True}, "run", id="seed-true"),
+            # a bool where a float is required
+            pytest.param({"servo": {"dt": True}}, "run", id="dt-true"),
+            pytest.param({"control": {"gain": True}}, "run", id="gain-true"),
+            pytest.param({"camera": {"fx": True}}, "run", id="fx-true"),
+            pytest.param({"control": {"max_twist": [True, 1, 1, 1, 1, 1]}}, "run",
+                         id="max_twist-true"),
+            pytest.param({"ransac": {"inlier_threshold": True}}, "run",
+                         id="inlier_threshold-true"),
+            pytest.param({"servo": {"tracking_threshold": False}}, "run",
+                         id="tracking_threshold-false"),
+            pytest.param({"batch": {"bands_cm": [[0.0, True]]}}, "batch", id="band-true"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):
@@ -443,6 +462,18 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_check_renders_the_target_view(self, tmp_path, capsys):
+        # 3 object landmarks, of which the target view sees 2: run fails
+        # when it renders that view, and check renders it too
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scene": {"n_object": 3, "n_clutter": 0}}))
+        assert main(["check", "--config", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: only 2 object landmarks visible from target pose\n"
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == captured.err
 
     @pytest.mark.parametrize("payload", [{"servo": {"dt": 1e200}}, {"control": {"gain": 1e308}}])
     def test_overflowing_step_exits_4(self, payload, tmp_path, capsys):

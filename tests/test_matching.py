@@ -248,11 +248,16 @@ class TestMatchMemo:
         self.assert_fresh(C1, fewer, tgt)
 
 
+def hartley(pts):
+    """Centroid and scale of the Hartley normalization of one point set."""
+    c = pts.mean(axis=0)
+    return c, np.sqrt(2.0) / (np.mean(np.linalg.norm(pts - c, axis=1)) + 1e-12)
+
+
 def full_svd_fit(src, dst):
     """Reference DLT: Hartley normalization and a full SVD of A, one model."""
     def normalize(pts):
-        c = pts.mean(axis=0)
-        scale = np.sqrt(2.0) / (np.mean(np.linalg.norm(pts - c, axis=1)) + 1e-12)
+        c, scale = hartley(pts)
         T = np.array([[scale, 0.0, -scale * c[0]], [0.0, scale, -scale * c[1]], [0.0, 0.0, 1.0]])
         return (pts - c) * scale, T
 
@@ -273,6 +278,30 @@ def full_svd_fit(src, dst):
     if abs(H[2, 2]) < 1e-12:
         return None
     return H / H[2, 2]
+
+
+def exact_dlt_fit(src, dst):
+    """The normalized DLT model to 40 digits: `full_svd_fit`'s normalization
+    constants, then A, the eigenvector of the smallest eigenvalue of A^T A
+    and the denormalization in mpmath, rounded to float64 at the end."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        (cs, ss), (cd, sd) = hartley(src), hartley(dst)
+        rows = []
+        for (x, y), (u, v) in zip(src, dst):
+            x, y = (mpf(x) - mpf(cs[0])) * mpf(ss), (mpf(y) - mpf(cs[1])) * mpf(ss)
+            u, v = (mpf(u) - mpf(cd[0])) * mpf(sd), (mpf(v) - mpf(cd[1])) * mpf(sd)
+            rows += [[x, y, 1, 0, 0, 0, -u * x, -u * y, -u], [0, 0, 0, x, y, 1, -v * x, -v * y, -v]]
+        A = mpmath.matrix(rows)
+        ev, Q = mpmath.eigsy(A.T * A)
+        k = min(range(9), key=lambda i: ev[i])
+        Hn = mpmath.matrix([[Q[3 * r + c, k] for c in range(3)] for r in range(3)])
+        Ts = mpmath.matrix([[ss, 0, -mpf(ss) * mpf(cs[0])], [0, ss, -mpf(ss) * mpf(cs[1])], [0, 0, 1]])
+        Td_inv = mpmath.matrix([[1 / mpf(sd), 0, cd[0]], [0, 1 / mpf(sd), cd[1]], [0, 0, 1]])
+        H = Td_inv * Hn * Ts
+        return np.array([[float(H[r, c] / H[2, 2]) for c in range(3)] for r in range(3)])
 
 
 def degenerate_sample(pts):
@@ -498,6 +527,122 @@ class TestRansacConsensus:
         assert np.all(resid <= cfg.inlier_threshold)
 
 
+def shifted(H, dx, dy=0.0):
+    """H followed by a pixel shift."""
+    return np.array([[1.0, 0.0, dx], [0.0, 1.0, dy], [0.0, 0.0, 1.0]]) @ H
+
+
+class TestRansacPrior:
+    """ransac_inliers(..., prior=H): the prior is scored first; a full
+    consensus ends the call, a partial one is refit and sets the best count,
+    and one below MIN_SAMPLE pairs is dropped."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Calls of _minimal_fit and fit_homography made from here on."""
+        calls = {"hypotheses": 0, "refits": 0}
+        minimal_fit, fit = matching._minimal_fit, matching.fit_homography
+
+        def count_minimal(src, dst):
+            calls["hypotheses"] += len(src)
+            return minimal_fit(src, dst)
+
+        def count_fit(src, dst):
+            calls["refits"] += 1
+            return fit(src, dst)
+
+        monkeypatch.setattr(matching, "_minimal_fit", count_minimal)
+        monkeypatch.setattr(matching, "fit_homography", count_fit)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 30, 320])
+    def test_full_consensus_is_returned_without_drawing(self, n, monkeypatch):
+        C = noisy_pairs(n, n, noise=0.3)
+        prior = known_homography()
+        assert np.all(symmetric_transfer_error(prior, C.current_pixels, C.target_pixels) <= 2.0)
+        calls = self.counting(monkeypatch)
+        rng = np.random.default_rng([n, 0x5C])
+        state = rng.bit_generator.state
+        R = ransac_inliers(C, RansacConfig(), rng=rng, prior=prior)
+        assert R.model is prior
+        assert np.array_equal(R.indices, np.arange(n)) and len(R) == n
+        assert rng.bit_generator.state == state
+        assert calls == {"hypotheses": 0, "refits": 0}
+
+    @pytest.mark.parametrize("outlier_frac", [0.0, 0.2, 0.4, 0.6, 0.8])
+    @pytest.mark.parametrize(
+        "prior", ["identity", "other_scene", "four_pairs", "near_truth"]
+    )
+    def test_wrong_prior_still_recovers_planted_inliers(self, prior, outlier_frac):
+        for seed in range(5):
+            C, n_in = planted_pairs(seed, 50, outlier_frac)
+            src, dst = C.current_pixels, C.target_pixels
+            if prior == "identity":
+                H = np.eye(3)
+            elif prior == "other_scene":
+                # another planted scene's model: a 25 degree turn, 40 px off
+                other, _ = planted_pairs(seed + 100, 50, 0.0)
+                turned = apply_h(shifted(known_homography() @ np.array(
+                    [[np.cos(0.44), -np.sin(0.44), 0.0], [np.sin(0.44), np.cos(0.44), 0.0],
+                     [0.0, 0.0, 1.0]]), 40.0), other.current_pixels)
+                H = ransac_inliers(pair_set(other.current_pixels, turned), RansacConfig()).model
+            elif prior == "four_pairs":
+                # the last four pairs moved onto a model 100 px off the true one
+                H = shifted(known_homography(), 100.0, -30.0)
+                dst = dst.copy()
+                dst[-4:] = apply_h(H, src[-4:])
+                C, n_in = pair_set(src, dst), min(n_in, len(C) - 4)
+            else:
+                # the true model 1.3 px off: it holds only part of the inliers
+                H = shifted(known_homography(), 1.3)
+            held = int((symmetric_transfer_error(H, src, dst) <= 2.0).sum())
+            if prior == "four_pairs":
+                assert held == MIN_SAMPLE
+            elif prior == "near_truth":
+                assert MIN_SAMPLE <= held < n_in
+            else:
+                assert held < MIN_SAMPLE
+            R = ransac_inliers(C, RansacConfig(max_iterations=5000, seed=seed), prior=H)
+            assert np.array_equal(R.indices, np.arange(n_in))
+
+    def test_partial_prior_is_refit_and_sets_the_bound(self, monkeypatch):
+        # the prior holds part of the 50 all-inlier pairs; its refit holds
+        # all of them, which ends the call before any hypothesis is drawn
+        C, n_in = planted_pairs(7, 50, 0.0)
+        prior = shifted(known_homography(), 1.3)
+        calls = self.counting(monkeypatch)
+        R = ransac_inliers(C, RansacConfig(), prior=prior)
+        assert len(R) == n_in and R.model is not prior
+        assert calls == {"hypotheses": 0, "refits": 1}
+
+    def test_prior_below_min_sample_changes_nothing(self):
+        C, _ = planted_pairs(8, 40, 0.4)
+        cfg = RansacConfig(seed=8)
+        plain = ransac_inliers(C, cfg)
+        R = ransac_inliers(C, cfg, prior=shifted(known_homography(), 100.0))
+        assert R.indices.tobytes() == plain.indices.tobytes()
+        assert R.model.tobytes() == plain.model.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(4, 40),
+        outlier_frac=st.floats(0.0, 0.7),
+        threshold=st.sampled_from([0.5, 2.0, 5.0]),
+        shift=st.floats(0.0, 6.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_returned_pair_meets_threshold(self, seed, n, outlier_frac, threshold, shift):
+        C = noisy_pairs(seed, n, outlier_frac=outlier_frac, noise=0.5)
+        cfg = RansacConfig(inlier_threshold=threshold, max_iterations=200, seed=seed)
+        try:
+            R = ransac_inliers(C, cfg, prior=shifted(known_homography(), shift))
+        except TooFewCorrespondences:
+            return
+        assert len(R) >= MIN_SAMPLE
+        resid = symmetric_transfer_error(R.model, R.current_pixels, R.target_pixels)
+        assert np.all(resid <= cfg.inlier_threshold)
+
+
 class TestHomography:
     def test_recovers_known_model(self):
         H = known_homography()
@@ -527,10 +672,28 @@ class TestHomography:
 
     @pytest.mark.parametrize("n", [5, 6, 9, 40, 320])
     def test_thin_svd_fit_matches_full_svd_dlt(self, n):
+        # fit_homography against the exact normalized-DLT model, entry by
+        # entry; the full-SVD reference is itself 5e-12 off it at n = 6
         rng = np.random.default_rng(n)
         src = rng.uniform(0, 320, (n, 2))
         dst = apply_h(known_homography(), src) + rng.normal(0, 0.5, (n, 2))
-        np.testing.assert_allclose(fit_homography(src, dst), full_svd_fit(src, dst), rtol=1e-12)
+        np.testing.assert_allclose(fit_homography(src, dst), exact_dlt_fit(src, dst), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 72, 320])
+    def test_eigh_refit_matches_svd_refit(self, n):
+        """The eigh refit gives the SVD refit's model, to 1e-12 of its
+        largest entry, on noisy planted sets, and None for a source on one
+        line, which leaves the model unfixed."""
+        for seed in range(20):
+            C, _ = planted_pairs(1000 * n + seed, n, 0.0)
+            src, dst = C.current_pixels, C.target_pixels
+            ref = full_svd_fit(src, dst)
+            assert np.abs(fit_homography(src, dst) - ref).max() <= 1e-12 * np.abs(ref).max()
+        t = np.random.default_rng(n).uniform(0, 1, n)
+        line = np.c_[20.0 + 200.0 * t, 30.0 + 100.0 * t]
+        assert fit_homography(line, apply_h(known_homography(), line)) is None
+        assert fit_homography(line, line + 3.0) is None
+        assert fit_homography(line, src) is None
 
     def test_singular_model_scores_inf(self):
         src = np.random.default_rng(19).uniform(20, 300, (8, 2))

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import featservo.simulate as simulate
 
-from featservo.errors import TooFewVisibleLandmarks
+from featservo.errors import TooFewCorrespondences, TooFewVisibleLandmarks
 from featservo.features import SyntheticDetectorConfig, synthetic_detect
 from featservo.geometry import Pose, compose, pose_error, se3_exp
 from featservo.simulate import (
@@ -158,6 +158,37 @@ class TestServoStep:
         assert all(r.event == "" and r.mean_error < cfg.tracking_threshold for r in later)
         assert not any(r.tracking for r in later)
         assert loop.locked is None
+
+
+class TestRansacPrior:
+    def test_prior_is_the_last_model_and_none_after_a_failed_cycle(
+        self, clean_scene, target_pose, monkeypatch
+    ):
+        ransac, calls = simulate.ransac_inliers, []
+
+        def spy(C, cfg, rng=None, prior=None):
+            calls.append([prior, None])
+            if len(calls) == 3:  # cycle 3 fails as a starved cycle's would
+                raise TooFewCorrespondences("no consensus")
+            calls[-1][1] = ransac(C, cfg, rng=rng, prior=prior)
+            return calls[-1][1]
+
+        monkeypatch.setattr(simulate, "ransac_inliers", spy)
+        # a threshold of 0 never locks, so cycle 3 fails untracked
+        cfg = offset_config(target_pose, [0.004, 0.002, 0, 0, 0, 0.01], tracking_threshold=0.0)
+        loop = ServoLoop(clean_scene, cfg)
+        records = [loop.step() for _ in range(5)]
+        loop.locked = loop.target_full.subset([0, 1])  # too few to seed RANSAC
+        records += [loop.step() for _ in range(2)]
+        assert [r.event for r in records] == [
+            "", "", "insufficient_features", "", "", "tracking_lost", ""
+        ]
+        priors = [prior for prior, _ in calls]
+        assert len(calls) == 7
+        for cycle in (1, 4, 7):  # the first cycle and those after a failure
+            assert priors[cycle - 1] is None, cycle
+        for cycle in (2, 3, 5, 6):  # the last cycle's model
+            assert priors[cycle - 1] is calls[cycle - 2][1].model, cycle
 
 
 class TestRunServo:
