@@ -147,7 +147,8 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     M = A^T A is assembled from the 3x3 blocks of one product
     P^T [P, uP, vP, (u^2 + v^2) P], and the model is the eigenvector of M's
     smallest eigenvalue. A second eigenvalue near zero (three, when all
-    source points lie on one line) leaves the model unfixed. One Newton
+    source points lie on one line) leaves the model unfixed, and a model of
+    rank 2 (all target points on one line) is no homography. One Newton
     step, with the gradient A^T A h taken through the residuals A h, undoes
     the error that squaring A into M adds: the model then lies within
     rounding of the exact null vector of A, as close as the SVD's.
@@ -176,8 +177,12 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     E[:, :2] = r
     E[:, 2] = -(r[:, 0] * dn[:, 0] + r[:, 1] * dn[:, 1])
     grad = (E.T @ P).ravel()  # A^T A h
-    h = h - B @ ((grad @ B) / (ev[1:] - ev[0]))
-    H = np.linalg.inv(Td) @ h.reshape(3, 3) @ Ts
+    Hn = (h - B @ ((grad @ B) / (ev[1:] - ev[0]))).reshape(3, 3)
+    # a model of rank 2 maps every point onto one line: the target side
+    # lies on one line
+    if abs(np.linalg.det(Hn)) < 1e-10:
+        return None
+    H = np.linalg.inv(Td) @ Hn @ Ts
     if abs(H[2, 2]) < 1e-12:
         return None
     return H / H[2, 2]
