@@ -14,7 +14,11 @@ from .errors import TooFewCorrespondences
 from .features import FeatureSet
 
 MIN_SAMPLE = 4  # pairs that fix a homography
-CHUNK = 8  # RANSAC hypotheses drawn, fitted and scored per batch
+# RANSAC hypotheses drawn, fitted and scored per batch. A call whose prior
+# holds most pairs draws at most its small iteration bound; the calls that
+# draw more are the low-inlier ones, which run many hypotheses, so a wide
+# batch saves the per-call numpy overhead of narrow ones.
+CHUNK = 16
 
 
 @dataclass(frozen=True)
