@@ -14,11 +14,7 @@ from .errors import TooFewCorrespondences
 from .features import FeatureSet
 
 MIN_SAMPLE = 4  # pairs that fix a homography
-# RANSAC hypotheses drawn, fitted and scored per batch. A call whose prior
-# holds most pairs draws at most its small iteration bound; the calls that
-# draw more are the low-inlier ones, which run many hypotheses, so a wide
-# batch saves the per-call numpy overhead of narrow ones.
-CHUNK = 16
+CHUNK = 8  # RANSAC hypotheses drawn, fitted and scored per batch
 
 
 @dataclass(frozen=True)
@@ -287,17 +283,18 @@ def ransac_inliers(
 ) -> InlierSet:
     """Largest homography consensus over the correspondence set.
 
-    A `prior` model (the previous cycle's, in the servo loop) is scored
-    first by the symmetric transfer error. When it holds every pair it is
+    A `prior` model (in the servo loop, the last cycle's model moved on by
+    the last image motion) is scored first by the symmetric transfer error. When it holds every pair it is
     returned with all of them, and no hypothesis is drawn. When it holds at
     least MIN_SAMPLE pairs it is refit on them, the refit kept when it holds
     at least as many, and that count is the best so far, both for the
     returned set and for the one-sided support a chunk's hypothesis must
     beat to be refit; fewer, and it is dropped.
 
-    Hypotheses are drawn CHUNK at a time, one `rng.random` call per chunk,
-    fitted in closed form (a degenerate sample gets the zero model, which
-    holds no pair) and scored by their one-sided transfer error. Each
+    Hypotheses are drawn CHUNK at a time, one `rng.random` call per chunk.
+    They are fitted in closed form (a degenerate sample gets
+    the zero model, which holds no pair) and scored by their one-sided
+    transfer error. Each
     chunk's best hypothesis, when it beats every earlier one, is refit on
     its support and re-thresholded by the symmetric transfer error (local
     optimisation); a count above the best so far picks the returned set and

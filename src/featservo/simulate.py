@@ -279,9 +279,12 @@ class ServoLoop:
         # to the next, and match_nn can then reuse the last match
         self._reuse_match = cfg.detector.descriptor_noise_sigma == 0
         self._last_match = None  # (current descriptors, target descriptors, pairs)
-        # the last cycle's model seeds RANSAC; None on cycle 1 and after a
-        # failed cycle
+        # RANSAC's prior: the last model moved on by the image motion between
+        # the last two models (constant velocity, H1 H0^-1 H1), or the last
+        # model alone after one success; None on cycle 1 and after a failed
+        # cycle. Returned models are never singular.
         self._prior: np.ndarray | None = None
+        self._last_model: np.ndarray | None = None
 
     def step(self) -> CycleRecord:
         cfg = self.cfg
@@ -300,7 +303,7 @@ class ServoLoop:
         try:
             R = ransac_inliers(C, cfg.ransac, rng=self._ransac_rng, prior=self._prior)
         except TooFewCorrespondences:
-            self._prior = None
+            self._prior = self._last_model = None
             # the only way a cycle fails: RANSAC keeps at least 4 pairs, and
             # the control law needs 3 points
             event = "insufficient_features"
@@ -321,7 +324,8 @@ class ServoLoop:
                 event=event,
             )
 
-        self._prior = R.model
+        last, self._last_model = self._last_model, R.model
+        self._prior = R.model if last is None else R.model @ np.linalg.solve(last, R.model)
         current_px, target_px = R.current_pixels, R.target_pixels
         s = pixel_to_normalized(current_px, cfg.intrinsics).reshape(-1)
         s_star = pixel_to_normalized(target_px, cfg.intrinsics).reshape(-1)

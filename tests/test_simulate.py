@@ -184,11 +184,15 @@ class TestRansacPrior:
             "", "", "insufficient_features", "", "", "tracking_lost", ""
         ]
         priors = [prior for prior, _ in calls]
+        models = [None if R is None else R.model for _, R in calls]
         assert len(calls) == 7
         for cycle in (1, 4, 7):  # the first cycle and those after a failure
             assert priors[cycle - 1] is None, cycle
-        for cycle in (2, 3, 5, 6):  # the last cycle's model
-            assert priors[cycle - 1] is calls[cycle - 2][1].model, cycle
+        for cycle in (2, 5):  # one model since: that model
+            assert priors[cycle - 1] is models[cycle - 2], cycle
+        for cycle in (3, 6):  # two: the last one moved on by the motion between them
+            H0, H1 = models[cycle - 3], models[cycle - 2]
+            np.testing.assert_allclose(priors[cycle - 1], H1 @ np.linalg.inv(H0) @ H1, rtol=1e-12)
 
 
 class TestRunServo:
