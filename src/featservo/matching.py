@@ -284,24 +284,24 @@ def ransac_inliers(
     """Largest homography consensus over the correspondence set.
 
     A `prior` model (in the servo loop, the last cycle's model moved on by
-    the last image motion) is scored first by the symmetric transfer error. When it holds every pair it is
-    returned with all of them, and no hypothesis is drawn. When it holds at
-    least MIN_SAMPLE pairs it is refit on them, the refit kept when it holds
-    at least as many, and that count is the best so far, both for the
-    returned set and for the one-sided support a chunk's hypothesis must
-    beat to be refit; fewer, and it is dropped.
+    the last image motion) is scored first by the symmetric transfer error.
+    When it holds every pair it is returned with all of them, and no
+    hypothesis is drawn. When it holds at least MIN_SAMPLE pairs it is refit
+    on them, the refit kept when it holds at least as many, and that count
+    is the best so far, both for the returned set and for the one-sided
+    support a chunk's hypothesis must beat to be refit; fewer, and it is
+    dropped.
 
     Hypotheses are drawn CHUNK at a time, one `rng.random` call per chunk.
-    They are fitted in closed form (a degenerate sample gets
-    the zero model, which holds no pair) and scored by their one-sided
-    transfer error. Each
+    They are fitted in closed form (a degenerate sample gets the zero model,
+    which holds no pair) and scored by their one-sided transfer error. Each
     chunk's best hypothesis, when it beats every earlier one, is refit on
     its support and re-thresholded by the symmetric transfer error (local
     optimisation); a count above the best so far picks the returned set and
     sets the adaptive iteration bound from the standard confidence formula.
-    Every returned pair satisfies the threshold under the returned model.
-    Bit-reproducible for a fixed (input, seed, prior) when no generator is
-    given.
+    Every returned pair satisfies the threshold under the returned model,
+    which is never singular. Bit-reproducible for a fixed (input, seed,
+    prior) when no generator is given.
     """
     n = len(C)
     if n < MIN_SAMPLE:

@@ -282,7 +282,7 @@ class ServoLoop:
         # RANSAC's prior: the last model moved on by the image motion between
         # the last two models (constant velocity, H1 H0^-1 H1), or the last
         # model alone after one success; None on cycle 1 and after a failed
-        # cycle. Returned models are never singular.
+        # cycle
         self._prior: np.ndarray | None = None
         self._last_model: np.ndarray | None = None
 
