@@ -171,7 +171,7 @@ def _visible(scene, points: np.ndarray, camera: Pose, intrinsics: CameraIntrinsi
 def _ranked_rows(scene, keep, pixels, ids):
     """Rows `keep` of per-landmark arrays, highest confidence first, and
     their scores in that order, so callers gather each row once."""
-    scores = landmark_scores(scene.seed, ids[keep])
+    scores = scene.scores[ids[keep]]
     rank = _order_by_score(pixels[keep], scores)
     return keep[rank], scores[rank]
 

@@ -17,6 +17,7 @@ from .features import (
     SyntheticDetectorConfig,
     _ranked_rows,
     _visible,
+    landmark_scores,
     synthetic_detect,
     top_k,
 )
@@ -33,8 +34,8 @@ class Scene:
     clutter landmarks visible only in current views.
 
     Canonical descriptors are generated deterministically from the seed.
-    Points, descriptors and ids live in one read-only table, object rows
-    first; the per-group attributes are row views of it.
+    Points, descriptors, ids and detection scores live in one read-only
+    table, object rows first; the per-group attributes are row views of it.
     """
 
     def __init__(
@@ -66,10 +67,12 @@ class Scene:
 
     def _set_table(self, points: np.ndarray, descriptors: np.ndarray, n_object: int) -> None:
         """Make (points, descriptors) the landmark table; its first n_object
-        rows are the object landmarks, and row i has id i."""
+        rows are the object landmarks, and row i has id i and score
+        landmark_scores(seed, i)."""
         self._ids = np.arange(points.shape[0], dtype=np.int64)
+        self.scores = landmark_scores(self.seed, self._ids)
         self._points, self._descriptors = points, descriptors
-        for a in (points, descriptors, self._ids):
+        for a in (points, descriptors, self._ids, self.scores):
             a.setflags(write=False)
         self.object_points, self.clutter_points = points[:n_object], points[n_object:]
         self.object_descriptors = descriptors[:n_object]

@@ -140,6 +140,14 @@ class TestLandmarkScores:
         assert np.all((a >= 0) & (a < 1))
         assert not np.array_equal(a, landmark_scores(43, ids))
 
+    def test_scene_table_holds_the_scores(self):
+        scene = make_box_scene(seed=4, n_clutter=30)
+        ids = scene.current_view_landmarks()[2]
+        assert scene.scores.tobytes() == landmark_scores(4, ids).tobytes()
+        assert not scene.scores.flags.writeable
+        bare = scene.without_clutter()
+        assert bare.scores.tobytes() == scene.scores[: scene.n_object].tobytes()
+
 
 class TestSyntheticDetect:
     def test_noiseless_matches_projection(self, axis_scene, intrinsics):
