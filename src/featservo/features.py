@@ -11,39 +11,44 @@ import numpy as np
 from .errors import InvalidFeatureSet
 from .geometry import CameraIntrinsics, Pose, project_many
 
-DESCRIPTOR_DIM = 256
+
+def _sq_norms(descriptors: np.ndarray) -> np.ndarray:
+    """Squared row norms of float32 descriptors, accumulated in float64."""
+    d = descriptors.astype(np.float64)
+    return np.einsum("ij,ij->i", d, d)
 
 
 class FeatureSet:
     """Immutable, ordered set of keypoints for one image.
 
-    Stored as parallel arrays: pixels (n,2), descriptors (n,d), scores (n,).
-    Depths (meters) are present for target renders; landmark ids only for
-    simulated detections.
+    Stored as parallel arrays: pixels (n,2), float32 unit descriptors (n,d),
+    scores (n,). Depths (meters) are present for target renders; landmark
+    ids only for simulated detections.
     """
 
     __slots__ = (
-        "pixels", "descriptors", "scores", "image_size", "depths", "landmark_ids", "_sq_norms"
+        "pixels", "descriptors", "scores", "image_size", "depths", "landmark_ids", "sq_norms"
     )
 
     def __init__(self, pixels, descriptors, scores, image_size, depths=None, landmark_ids=None):
         pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
-        descriptors = np.atleast_2d(np.asarray(descriptors, dtype=float))
+        with np.errstate(over="ignore"):  # values past float32's range fail the unit-norm check
+            descriptors = np.atleast_2d(np.asarray(descriptors, dtype=np.float32))
         scores = np.asarray(scores, dtype=float).reshape(-1)
         n = scores.size
         if pixels.shape != (n, 2) and not (n == 0 and pixels.size == 0):
             raise InvalidFeatureSet(f"pixels shape {pixels.shape} != ({n}, 2)")
-        if n > 0 and descriptors.shape[0] != n:
+        if descriptors.ndim != 2 or descriptors.shape[0] != n:
             raise InvalidFeatureSet("descriptor row count mismatch")
         w, h = int(image_size[0]), int(image_size[1])
+        sq_norms = _sq_norms(descriptors)
         # checks in positive form, so NaN (every comparison false) fails them
         if n > 0:
             if not np.all((pixels >= 0) & (pixels < (w, h))):
                 raise InvalidFeatureSet("keypoint pixel outside image bounds")
             if not np.all((scores >= 0) & (scores <= 1)):
                 raise InvalidFeatureSet("scores must lie in [0, 1]")
-            norms = np.sqrt(np.einsum("ij,ij->i", descriptors, descriptors))
-            if not np.all(np.abs(norms - 1.0) <= 1e-6):
+            if not np.all(np.abs(np.sqrt(sq_norms) - 1.0) <= 1e-6):
                 raise InvalidFeatureSet("descriptors must be finite and unit norm")
         if depths is not None:
             depths = np.asarray(depths, dtype=float).reshape(-1)
@@ -55,42 +60,32 @@ class FeatureSet:
             landmark_ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
             if landmark_ids.size != n:
                 raise InvalidFeatureSet("landmark id count != keypoint count")
-        if n == 0:
-            d = descriptors.shape[1] if descriptors.ndim == 2 and descriptors.shape[1] else DESCRIPTOR_DIM
-            descriptors = np.zeros((0, d))
         self._freeze(
             pixels.reshape(n, 2),
-            descriptors.reshape(n, -1) if n else descriptors,
+            descriptors,
             scores,
             (w, h),
             depths,
             landmark_ids,
-            None,
+            sq_norms.astype(np.float32),
         )
 
     def _freeze(self, pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms):
-        """Store already-checked arrays, read-only."""
+        """Store already-checked arrays, read-only. `sq_norms` are the
+        descriptors' squared norms as float32, shared with matching."""
         self.pixels = pixels
         self.descriptors = descriptors
         self.scores = scores
         self.image_size = image_size
         self.depths = depths
         self.landmark_ids = landmark_ids
-        self._sq_norms = sq_norms
+        self.sq_norms = sq_norms
         for a in (pixels, descriptors, scores, depths, landmark_ids, sq_norms):
             if a is not None:
                 a.setflags(write=False)
 
     def __len__(self) -> int:
         return self.scores.size
-
-    @property
-    def sq_norms(self) -> np.ndarray:
-        """Squared descriptor norms, computed on first use and kept."""
-        if self._sq_norms is None:
-            self._sq_norms = np.sum(self.descriptors**2, axis=1)
-            self._sq_norms.setflags(write=False)
-        return self._sq_norms
 
     def subset(self, indices) -> "FeatureSet":
         """Rows `indices`, in that order; a slice gives views. Rows of a
@@ -108,7 +103,7 @@ class FeatureSet:
             self.image_size,
             None if self.depths is None else self.depths[idx],
             None if self.landmark_ids is None else self.landmark_ids[idx],
-            None if self._sq_norms is None else self._sq_norms[idx],
+            self.sq_norms[idx],
         )
         return out
 
@@ -205,20 +200,23 @@ def synthetic_detect(
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
     noise = None
     if cfg.descriptor_noise_sigma > 0:
-        noise = rng.normal(0.0, cfg.descriptor_noise_sigma, size=(n, descriptors.shape[1]))
+        noise = rng.standard_normal((n, descriptors.shape[1]), dtype=np.float32)
 
     # keypoints pushed out of frame by noise are dropped, never clamped
     inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
     rows, scores = _ranked_rows(scene, inb, noisy_pixels, ids[idx])
     landmarks = idx[rows]
-    # noise and normalization act row by row, so each kept row, gathered
+    # the table rows are unit float32; without noise they are kept as they
+    # are. Noise and normalization act row by row, so each kept row, gathered
     # once in final order, gets the bytes it would get if every row were
     # noised and normalized first
     desc = descriptors[landmarks]
     if noise is not None:
-        desc += noise[rows]
-    with np.errstate(over="ignore"):  # an overflowed norm fails FeatureSet's unit-norm check
-        desc /= np.linalg.norm(desc, axis=1, keepdims=True)
+        # a sigma or noise past float32's range gives inf, then NaN rows,
+        # which fail FeatureSet's unit-norm check
+        with np.errstate(over="ignore", invalid="ignore"):
+            desc += noise[rows] * np.float32(cfg.descriptor_noise_sigma)
+            desc /= np.sqrt(_sq_norms(desc)).astype(np.float32)[:, None]
     return FeatureSet(
         noisy_pixels[rows],
         desc,

@@ -41,7 +41,7 @@ class CorrespondenceSet:
 
     current_indices: np.ndarray  # (n,) into the current FeatureSet
     target_indices: np.ndarray  # (n,) into the target FeatureSet
-    distances: np.ndarray  # (n,) descriptor distances
+    distances: np.ndarray  # (n,) float32 descriptor distances
     current_pixels: np.ndarray  # (n, 2)
     target_pixels: np.ndarray  # (n, 2)
 
@@ -96,14 +96,14 @@ def match_nn(
         return CorrespondenceSet(
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.int64),
-            np.zeros(0),
+            np.zeros(0, dtype=np.float32),
             np.zeros((0, 2)),
             np.zeros((0, 2)),
         )
 
-    # squared distances via gemm, in place: -2G + (|a|^2 + |b|^2) takes the
-    # same rounding steps as (|a|^2 + |b|^2) - 2G; argmin picks the lowest
-    # index on ties
+    # float32 squared distances via gemm, in place: -2G + (|a|^2 + |b|^2)
+    # takes the same rounding steps as (|a|^2 + |b|^2) - 2G; argmin picks the
+    # lowest index on ties
     d2 = current.descriptors @ target.descriptors.T
     d2 *= -2.0
     d2 += current.sq_norms[:, None] + target.sq_norms[None, :]

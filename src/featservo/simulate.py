@@ -33,9 +33,10 @@ class Scene:
     """3D landmark world: object landmarks (rendered in target views) plus
     clutter landmarks visible only in current views.
 
-    Canonical descriptors are generated deterministically from the seed.
-    Points, descriptors, ids and detection scores live in one read-only
-    table, object rows first; the per-group attributes are row views of it.
+    Canonical descriptors are drawn in float64 from the seed, normalized and
+    stored as float32. Points, descriptors, ids and detection scores live in
+    one read-only table, object rows first; the per-group attributes are row
+    views of it.
     """
 
     def __init__(
@@ -63,7 +64,7 @@ class Scene:
         rng = np.random.default_rng(self.seed)
         desc = rng.normal(size=(points.shape[0], self.descriptor_dim))
         desc /= np.linalg.norm(desc, axis=1, keepdims=True)
-        self._set_table(points, desc, n)
+        self._set_table(points, desc.astype(np.float32), n)
 
     def _set_table(self, points: np.ndarray, descriptors: np.ndarray, n_object: int) -> None:
         """Make (points, descriptors) the landmark table; its first n_object

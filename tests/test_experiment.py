@@ -487,8 +487,9 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_overflowing_descriptor_noise_exits_4(self, tmp_path, capsys):
-        # finite, so check passes; the noisy descriptors' squared norms then
-        # overflow, and the detector's output fails the FeatureSet checks
+        # finite, so check passes; sigma then overflows float32, the noisy
+        # descriptors become NaN, and the detector's output fails the
+        # FeatureSet checks
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"detector": {"descriptor_noise_sigma": 1e160}}))
         assert main(["check", "--config", str(path)]) == 0

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from featservo.errors import InvalidFeatureSet
 from featservo.features import (
     FeatureSet,
     SyntheticDetectorConfig,
@@ -11,11 +14,13 @@ from featservo.features import (
     synthetic_detect,
     top_k,
 )
-from featservo.geometry import Pose, project_many, se3_exp
-from featservo.simulate import Scene, make_box_scene
+from featservo.geometry import CameraIntrinsics, Pose, project_many, se3_exp
+from featservo.matching import match_nn
+from featservo.simulate import Scene, make_box_scene, render_target
 
 
 def unit_descriptors(n, d=16, seed=0):
+    """float64 unit rows."""
     rng = np.random.default_rng(seed)
     desc = rng.normal(size=(n, d))
     return desc / np.linalg.norm(desc, axis=1, keepdims=True)
@@ -110,12 +115,13 @@ class TestFeatureSet:
 
     def test_subset_of_subset(self):
         fs = make_set(8, with_depths=True)
-        fs.sq_norms  # a cached value travels with the rows
         inner = fs.subset([7, 5, 3, 1]).subset([2, 0])
         direct = fs.subset([3, 7])
         for a, b in zip(self._fields(inner), self._fields(direct)):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
-        assert inner.sq_norms.tobytes() == np.sum(direct.descriptors**2, axis=1).tobytes()
+        # the squared norms, accumulated in float64 once, travel with the rows
+        expected = np.sum(direct.descriptors.astype(np.float64) ** 2, axis=1)
+        assert inner.sq_norms.tobytes() == expected.astype(np.float32).tobytes()
         assert not inner.sq_norms.flags.writeable
         with pytest.raises(ValueError):
             inner.pixels[0, 0] = 1.0
@@ -216,27 +222,25 @@ class TestSyntheticDetect:
         assert np.array_equal(fresh.pixels, a.pixels)
 
 
-def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
-    """synthetic_detect as it was before it gathered each kept row once:
-    every visible row noised and normalized, then ranked and gathered."""
+def reference_detect(scene, camera, intrinsics, cfg, rng):
+    """synthetic_detect written plainly: every visible row noised and
+    normalized, then ranked and gathered; the generator is drawn in the same
+    order (dropout, pixel noise, float32 descriptor noise)."""
     points, descriptors, ids = scene.current_view_landmarks()
     pixels, depths, visible = _visible(scene, points, camera, intrinsics)
     idx = np.flatnonzero(visible)
     keep = rng.random(idx.size) >= cfg.detection_dropout
     idx = idx[keep]
     n = idx.size
-    if n == 0:
-        return FeatureSet(
-            np.zeros((0, 2)), np.zeros((0, descriptors.shape[1])), np.zeros(0),
-            (intrinsics.width, intrinsics.height),
-        )
     noisy_pixels = pixels[idx]
     if cfg.pixel_noise_sigma > 0:
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
     desc = descriptors[idx]
     if cfg.descriptor_noise_sigma > 0:
-        desc = desc + rng.normal(0.0, cfg.descriptor_noise_sigma, size=desc.shape)
-    desc = desc / np.linalg.norm(desc, axis=1, keepdims=True)
+        noise = rng.standard_normal(desc.shape, dtype=np.float32)
+        desc = desc + noise * np.float32(cfg.descriptor_noise_sigma)
+        norms = np.sqrt(np.sum(desc.astype(np.float64) ** 2, axis=1))
+        desc = desc / norms.astype(np.float32)[:, None]
     inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
     kept_ids, kept_depths = ids[idx], depths[idx]
     scores = landmark_scores(scene.seed, kept_ids[inb])
@@ -248,9 +252,15 @@ def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
     )
 
 
-class TestDetectMatchesOldBody:
-    """synthetic_detect gathers each surviving row once, in final order; its
-    output bytes and the generator it leaves behind equal the old body's."""
+def camera_near(pose_rng, z=-0.3):
+    xi = np.r_[pose_rng.uniform(-0.05, 0.05, 3), pose_rng.uniform(-0.2, 0.2, 3)]
+    offset = se3_exp(xi)
+    return Pose(offset.rotation, offset.translation + (0.0, 0.0, z))
+
+
+class TestFloat32Descriptors:
+    """Descriptors are float32 from the scene table through matching; the
+    unit-norm check keeps its 1e-6 tolerance, accumulated in float64."""
 
     CASES = {
         "dropout": dict(detection_dropout=0.3),
@@ -264,24 +274,21 @@ class TestDetectMatchesOldBody:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bytes_equal(self, case, intrinsics):
+    def test_equals_reference_body(self, case, intrinsics):
+        # same draw order, same generator state left behind, and each row
+        # gathered once in final order gets the reference body's bytes
         cfg = SyntheticDetectorConfig(**self.CASES[case])
         scene = make_box_scene(seed=11, n_clutter=60)
-        new_rng, old_rng = np.random.default_rng(4), np.random.default_rng(4)
+        new_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         pose_rng = np.random.default_rng(5)
         sizes = []
         for _ in range(6):
-            xi = np.r_[pose_rng.uniform(-0.05, 0.05, 3), pose_rng.uniform(-0.2, 0.2, 3)]
-            offset = se3_exp(xi)
-            camera = Pose(offset.rotation, offset.translation + (0.0, 0.0, -0.3))
+            camera = camera_near(pose_rng)
             new = synthetic_detect(scene, camera, intrinsics, cfg, new_rng)
-            old = old_synthetic_detect(scene, camera, intrinsics, cfg, old_rng)
-            for a, b in zip(TestFeatureSet._fields(new), TestFeatureSet._fields(old)):
-                if b is None:  # the old body's empty set had no depths or ids
-                    assert a.size == 0
-                else:
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+            ref = reference_detect(scene, camera, intrinsics, cfg, ref_rng)
+            for a, b in zip(TestFeatureSet._fields(new), TestFeatureSet._fields(ref)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
             sizes.append(len(new))
         if case.startswith("empty"):
             assert sizes == [0] * 6
@@ -291,6 +298,71 @@ class TestDetectMatchesOldBody:
             # noise pushed some visible keypoints out of the frame
             clean = SyntheticDetectorConfig()
             assert len(new) < len(synthetic_detect(scene, camera, intrinsics, clean))
+
+    def test_noise_free_rows_are_the_table_rows(self, intrinsics):
+        scene = make_box_scene(seed=3, n_clutter=40)
+        fs = synthetic_detect(scene, Pose(np.eye(3), (0.0, 0.0, -0.4)), intrinsics,
+                              SyntheticDetectorConfig(pixel_noise_sigma=0.3))
+        table = scene.current_view_landmarks()[1]
+        assert table.dtype == np.float32
+        assert fs.descriptors.tobytes() == table[fs.landmark_ids].tobytes()
+
+    @given(sigma=st.floats(0.0, 1.0), d=st.sampled_from([2, 32, 256]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_noisy_rows_clear_the_unit_norm_check(self, sigma, d, seed):
+        scene = make_box_scene(seed=seed, n_object=30, n_clutter=10, descriptor_dim=d)
+        intrinsics = CameraIntrinsics(600.0, 600.0, 160.0, 120.0, 320, 240)
+        cfg = SyntheticDetectorConfig(descriptor_noise_sigma=sigma)
+        fs = synthetic_detect(scene, Pose(np.eye(3), (0.0, 0.0, -0.4)), intrinsics, cfg,
+                              np.random.default_rng(seed))
+        assert len(fs) > 0 and fs.descriptors.dtype == np.float32
+        norms = np.linalg.norm(fs.descriptors.astype(np.float64), axis=1)
+        assert np.all(np.abs(norms - 1.0) <= 1e-6)
+
+    @pytest.mark.parametrize("offset", [2e-6, -2e-6])
+    def test_float64_row_off_unit_length_rejected(self, offset):
+        desc = unit_descriptors(3, d=256)
+        desc[1] *= 1.0 + offset
+        with pytest.raises(ValueError, match="unit norm"):
+            FeatureSet(np.full((3, 2), 10.0), desc, [0.5] * 3, (320, 240))
+
+    @pytest.mark.parametrize("rows", [unit_descriptors(5), np.full((5, 16), np.nan)])
+    def test_empty_set_rejects_descriptor_rows(self, rows):
+        with pytest.raises(InvalidFeatureSet, match="descriptor row count mismatch"):
+            FeatureSet(np.zeros((0, 2)), rows, [], (320, 240))
+
+    def test_detection_render_and_matching_stay_float32(self, intrinsics, monkeypatch):
+        scene = make_box_scene(seed=6, n_clutter=40)
+        target = render_target(scene, Pose(np.eye(3), (0.0, 0.0, -0.4)), intrinsics)
+        cfg = SyntheticDetectorConfig(descriptor_noise_sigma=0.02, pixel_noise_sigma=0.3)
+        current = synthetic_detect(scene, Pose(np.eye(3), (0.01, 0.0, -0.38)), intrinsics, cfg)
+        empty = current.subset([])
+        for fs in (target, current, empty, top_k(current, 10)):
+            assert fs.descriptors.dtype == fs.sq_norms.dtype == np.float32
+        # every (n, m) matrix match_nn takes an argmin of is float32
+        argmin, seen = np.argmin, []
+        monkeypatch.setattr(np, "argmin", lambda a, **kw: seen.append(a.dtype) or argmin(a, **kw))
+        C = match_nn(current, target)
+        monkeypatch.undo()
+        assert len(C) > 0 and seen == [np.float32, np.float32]
+        assert C.distances.dtype == np.float32
+        assert match_nn(empty, target).distances.dtype == np.float32
+
+    def test_noise_free_match_reuse_hits(self, intrinsics):
+        # two noise-free detections from one pose hold equal descriptors,
+        # so match_nn hands back the first call's pairs
+        scene = make_box_scene(seed=9, n_clutter=40)
+        camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
+        target = render_target(scene, camera, intrinsics)
+        cfg = SyntheticDetectorConfig(pixel_noise_sigma=0.3)
+        rng = np.random.default_rng(2)
+        first = synthetic_detect(scene, camera, intrinsics, cfg, rng)
+        C0 = match_nn(first, target)
+        second = synthetic_detect(scene, camera, intrinsics, cfg, rng)
+        assert not np.array_equal(first.pixels, second.pixels)
+        C1 = match_nn(second, target, last=(first.descriptors, target.descriptors, C0))
+        assert len(C0) > 0 and C1.distances is C0.distances
 
 
 class TestTopK:
