@@ -222,10 +222,11 @@ class TestSyntheticDetect:
         assert np.array_equal(fresh.pixels, a.pixels)
 
 
-def reference_detect(scene, camera, intrinsics, cfg, rng):
-    """synthetic_detect written plainly: every visible row noised and
-    normalized, then ranked and gathered; the generator is drawn in the same
-    order (dropout, pixel noise, float32 descriptor noise)."""
+def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
+    """synthetic_detect as it was before it gathered each kept row once, with
+    float32 descriptors: every visible row noised and normalized, then ranked
+    and gathered. The generator is drawn in the same order: dropout, pixel
+    noise, float32 descriptor noise."""
     points, descriptors, ids = scene.current_view_landmarks()
     pixels, depths, visible = _visible(scene, points, camera, intrinsics)
     idx = np.flatnonzero(visible)
@@ -252,15 +253,10 @@ def reference_detect(scene, camera, intrinsics, cfg, rng):
     )
 
 
-def camera_near(pose_rng, z=-0.3):
-    xi = np.r_[pose_rng.uniform(-0.05, 0.05, 3), pose_rng.uniform(-0.2, 0.2, 3)]
-    offset = se3_exp(xi)
-    return Pose(offset.rotation, offset.translation + (0.0, 0.0, z))
-
-
-class TestFloat32Descriptors:
-    """Descriptors are float32 from the scene table through matching; the
-    unit-norm check keeps its 1e-6 tolerance, accumulated in float64."""
+class TestDetectMatchesOldBody:
+    """synthetic_detect gathers each surviving row once, in final order; its
+    output bytes and dtypes and the generator it leaves behind equal the old
+    body's."""
 
     CASES = {
         "dropout": dict(detection_dropout=0.3),
@@ -274,21 +270,21 @@ class TestFloat32Descriptors:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_equals_reference_body(self, case, intrinsics):
-        # same draw order, same generator state left behind, and each row
-        # gathered once in final order gets the reference body's bytes
+    def test_bytes_equal(self, case, intrinsics):
         cfg = SyntheticDetectorConfig(**self.CASES[case])
         scene = make_box_scene(seed=11, n_clutter=60)
-        new_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        new_rng, old_rng = np.random.default_rng(4), np.random.default_rng(4)
         pose_rng = np.random.default_rng(5)
         sizes = []
         for _ in range(6):
-            camera = camera_near(pose_rng)
+            xi = np.r_[pose_rng.uniform(-0.05, 0.05, 3), pose_rng.uniform(-0.2, 0.2, 3)]
+            offset = se3_exp(xi)
+            camera = Pose(offset.rotation, offset.translation + (0.0, 0.0, -0.3))
             new = synthetic_detect(scene, camera, intrinsics, cfg, new_rng)
-            ref = reference_detect(scene, camera, intrinsics, cfg, ref_rng)
-            for a, b in zip(TestFeatureSet._fields(new), TestFeatureSet._fields(ref)):
+            old = old_synthetic_detect(scene, camera, intrinsics, cfg, old_rng)
+            for a, b in zip(TestFeatureSet._fields(new), TestFeatureSet._fields(old)):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
             sizes.append(len(new))
         if case.startswith("empty"):
             assert sizes == [0] * 6
@@ -298,6 +294,11 @@ class TestFloat32Descriptors:
             # noise pushed some visible keypoints out of the frame
             clean = SyntheticDetectorConfig()
             assert len(new) < len(synthetic_detect(scene, camera, intrinsics, clean))
+
+
+class TestFloat32Descriptors:
+    """Descriptors are float32 from the scene table through matching; the
+    unit-norm check keeps its 1e-6 tolerance, accumulated in float64."""
 
     def test_noise_free_rows_are_the_table_rows(self, intrinsics):
         scene = make_box_scene(seed=3, n_clutter=40)
@@ -320,10 +321,11 @@ class TestFloat32Descriptors:
         norms = np.linalg.norm(fs.descriptors.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-6)
 
-    @pytest.mark.parametrize("offset", [2e-6, -2e-6])
-    def test_float64_row_off_unit_length_rejected(self, offset):
+    @pytest.mark.parametrize("scale", [1.0 + 2e-6, 1.0 - 2e-6, 1e300])
+    def test_float64_row_off_unit_length_rejected(self, scale):
+        # 1e300 overflows the float32 cast, silently
         desc = unit_descriptors(3, d=256)
-        desc[1] *= 1.0 + offset
+        desc[1] *= scale
         with pytest.raises(ValueError, match="unit norm"):
             FeatureSet(np.full((3, 2), 10.0), desc, [0.5] * 3, (320, 240))
 
