@@ -283,12 +283,11 @@ class ServoLoop:
         # to the next, and match_nn can then reuse the last match
         self._reuse_match = cfg.detector.descriptor_noise_sigma == 0
         self._last_match = None  # (current descriptors, target descriptors, pairs)
-        # RANSAC's prior: the last model moved on by the image motion between
-        # the last two models (constant velocity, H1 H0^-1 H1), or the last
-        # model alone after one success; None on cycle 1 and after a failed
-        # cycle
+        # RANSAC's prior: the control law shrinks the image error by rho =
+        # 1 - gain*dt per cycle, so the last model H is predicted to move on to
+        # rho*H + (1 - rho)*H[2,2]*I; None on cycle 1 and after a failed cycle
+        self._decay = 1.0 - cfg.control.gain * cfg.dt
         self._prior: np.ndarray | None = None
-        self._last_model: np.ndarray | None = None
 
     def step(self) -> CycleRecord:
         cfg = self.cfg
@@ -307,7 +306,7 @@ class ServoLoop:
         try:
             R = ransac_inliers(C, cfg.ransac, rng=self._ransac_rng, prior=self._prior)
         except TooFewCorrespondences:
-            self._prior = self._last_model = None
+            self._prior = None
             # the only way a cycle fails: RANSAC keeps at least 4 pairs, and
             # the control law needs 3 points
             event = "insufficient_features"
@@ -328,8 +327,9 @@ class ServoLoop:
                 event=event,
             )
 
-        last, self._last_model = self._last_model, R.model
-        self._prior = R.model if last is None else R.model @ np.linalg.solve(last, R.model)
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: no prior
+            prior = self._decay * R.model + (1.0 - self._decay) * R.model[2, 2] * np.eye(3)
+        self._prior = prior if np.isfinite(prior).all() else None
         current_px, target_px = R.current_pixels, R.target_pixels
         s = pixel_to_normalized(current_px, cfg.intrinsics).reshape(-1)
         s_star = pixel_to_normalized(target_px, cfg.intrinsics).reshape(-1)

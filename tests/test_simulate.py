@@ -1,12 +1,16 @@
+import warnings
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
-from dataclasses import fields, replace
 
 import featservo.simulate as simulate
 
-from featservo.errors import TooFewCorrespondences, TooFewVisibleLandmarks
+from featservo.control import ControlConfig
+from featservo.errors import NonFiniteStep, TooFewCorrespondences, TooFewVisibleLandmarks
 from featservo.features import SyntheticDetectorConfig, synthetic_detect
 from featservo.geometry import Pose, compose, pose_error, se3_exp
+from featservo.matching import RansacConfig, symmetric_transfer_error
 from featservo.simulate import (
     CycleRecord,
     Scene,
@@ -160,20 +164,53 @@ class TestServoStep:
         assert loop.locked is None
 
 
+def spy_ransac(monkeypatch, fail_calls=()):
+    """Replace the loop's ransac_inliers by a spy that records each call's
+    [prior, result]; the calls numbered in `fail_calls` (from 1) fail as a
+    starved cycle's would, with result None."""
+    ransac, calls = simulate.ransac_inliers, []
+
+    def spy(C, cfg, rng=None, prior=None):
+        calls.append([prior, None])
+        if len(calls) in fail_calls:
+            raise TooFewCorrespondences("no consensus")
+        calls[-1][1] = ransac(C, cfg, rng=rng, prior=prior)
+        return calls[-1][1]
+
+    monkeypatch.setattr(simulate, "ransac_inliers", spy)
+    return calls
+
+
+def decayed(H, cfg):
+    """The prior the loop predicts from model H: rho*H + (1 - rho)*H[2,2]*I."""
+    rho = 1.0 - cfg.control.gain * cfg.dt
+    return rho * H + (1.0 - rho) * H[2, 2] * np.eye(3)
+
+
+def noisy_box_config(target_pose, seed, **kwargs):
+    """The default run's noise and a 2 cm + 5 deg offset drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    direction *= 0.02 / np.linalg.norm(direction)
+    axis = rng.normal(size=3)
+    axis *= np.deg2rad(5.0) / np.linalg.norm(axis)
+    detector = SyntheticDetectorConfig(
+        descriptor_noise_sigma=0.02, pixel_noise_sigma=0.3, seed=seed
+    )
+    return offset_config(
+        target_pose,
+        np.concatenate([direction, axis]),
+        detector=detector,
+        ransac=RansacConfig(seed=seed),
+        **kwargs,
+    )
+
+
 class TestRansacPrior:
-    def test_prior_is_the_last_model_and_none_after_a_failed_cycle(
+    def test_prior_is_the_decayed_last_model_and_none_after_a_failed_cycle(
         self, clean_scene, target_pose, monkeypatch
     ):
-        ransac, calls = simulate.ransac_inliers, []
-
-        def spy(C, cfg, rng=None, prior=None):
-            calls.append([prior, None])
-            if len(calls) == 3:  # cycle 3 fails as a starved cycle's would
-                raise TooFewCorrespondences("no consensus")
-            calls[-1][1] = ransac(C, cfg, rng=rng, prior=prior)
-            return calls[-1][1]
-
-        monkeypatch.setattr(simulate, "ransac_inliers", spy)
+        calls = spy_ransac(monkeypatch, fail_calls=(3,))
         # a threshold of 0 never locks, so cycle 3 fails untracked
         cfg = offset_config(target_pose, [0.004, 0.002, 0, 0, 0, 0.01], tracking_threshold=0.0)
         loop = ServoLoop(clean_scene, cfg)
@@ -188,11 +225,73 @@ class TestRansacPrior:
         assert len(calls) == 7
         for cycle in (1, 4, 7):  # the first cycle and those after a failure
             assert priors[cycle - 1] is None, cycle
-        for cycle in (2, 5):  # one model since: that model
-            assert priors[cycle - 1] is models[cycle - 2], cycle
-        for cycle in (3, 6):  # two: the last one moved on by the motion between them
-            H0, H1 = models[cycle - 3], models[cycle - 2]
-            np.testing.assert_allclose(priors[cycle - 1], H1 @ np.linalg.inv(H0) @ H1, rtol=1e-12)
+        for cycle in (2, 3, 5, 6):  # the last model, moved on by the decay
+            H = models[cycle - 2]
+            np.testing.assert_allclose(priors[cycle - 1], decayed(H, cfg), rtol=1e-12)
+
+    def test_noise_free_planar_run_draws_no_hypothesis_after_cycle_1(self, target_pose):
+        # an exact homography moved on by the decay holds every pair, so every
+        # call after the first returns the prior without touching the generator
+        cfg = offset_config(
+            target_pose,
+            [0.01, -0.008, 0.005, 0.03, -0.02, 0.05],
+            control=ControlConfig(gain=1.5),
+        )
+        loop = ServoLoop(make_planar_scene(seed=2), cfg)
+        loop.step()
+        state = loop._ransac_rng.bit_generator.state
+        records = [loop.step() for _ in range(60)]
+        assert all(r.event == "" for r in records)
+        assert records[-1].mean_error < cfg.success_threshold
+        assert loop._ransac_rng.bit_generator.state == state
+
+    def test_noisy_prior_holds_every_pair_in_most_calls(
+        self, box_scene, target_pose, monkeypatch
+    ):
+        calls = spy_ransac(monkeypatch)
+        for seed in range(4):
+            run_servo(box_scene, noisy_box_config(target_pose, seed))
+        held = [
+            np.all(symmetric_transfer_error(prior, R.current_pixels, R.target_pixels) <= 2.0)
+            for prior, R in calls
+            if prior is not None
+        ]
+        assert len(held) > 200
+        assert np.mean(held) >= 0.85
+
+    def test_prior_that_is_not_finite_is_none(self, clean_scene, target_pose, monkeypatch):
+        # rho = -1e308, so rho*H overflows; the saturated twist keeps the step
+        # finite, so the loop goes on, without a prior and without a warning
+        calls = spy_ransac(monkeypatch)
+        cfg = offset_config(
+            target_pose,
+            [0.004, 0.002, 0, 0, 0, 0.01],
+            control=ControlConfig(gain=1e308, max_twist=(1e-3,) * 6),
+            dt=1.0,
+        )
+        loop = ServoLoop(clean_scene, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = [loop.step() for _ in range(3)]
+        assert all(r.event == "" for r in records)
+        assert all(prior is None for prior, _ in calls)
+
+    def test_huge_gain_still_raises_non_finite_step(self, clean_scene, target_pose):
+        cfg = offset_config(
+            target_pose, [0.004, 0.002, 0, 0, 0, 0.01], control=ControlConfig(gain=1e306)
+        )
+        with pytest.raises(NonFiniteStep):
+            ServoLoop(clean_scene, cfg).step()
+
+    def test_oscillating_decay_converges(self, box_scene, target_pose):
+        # gain 39 at dt 0.05: rho = -0.95, the error flips sign each cycle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(2):
+                cfg = noisy_box_config(target_pose, seed, control=ControlConfig(gain=39.0))
+                trace = run_servo(box_scene, cfg)
+                assert trace.status == "Converged", seed
+                assert len(trace) < 150, seed
 
 
 class TestRunServo:
