@@ -284,7 +284,7 @@ def ransac_inliers(
     """Largest homography consensus over the correspondence set.
 
     A `prior` model (in the servo loop, the last cycle's model moved on by
-    the last image motion) is scored first by the symmetric transfer error.
+    the control law's decay) is scored first by the symmetric transfer error.
     When it holds every pair it is returned with all of them, and no
     hypothesis is drawn. When it holds at least MIN_SAMPLE pairs it is refit
     on them, the refit kept when it holds at least as many, and that count

@@ -489,7 +489,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: the pose step of ") and err.count("\n") == 1
 
     def test_overflowing_descriptor_noise_exits_4(self, tmp_path, capsys):
         # finite, so check passes; sigma then overflows float32, the noisy

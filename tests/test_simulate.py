@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 import featservo.simulate as simulate
 
 from featservo.control import ControlConfig
-from featservo.errors import NonFiniteStep, TooFewCorrespondences, TooFewVisibleLandmarks
+from featservo.errors import TooFewCorrespondences, TooFewVisibleLandmarks
 from featservo.features import SyntheticDetectorConfig, synthetic_detect
 from featservo.geometry import Pose, compose, pose_error, se3_exp
 from featservo.matching import RansacConfig, symmetric_transfer_error
@@ -187,9 +187,9 @@ def decayed(H, cfg):
     return rho * H + (1.0 - rho) * H[2, 2] * np.eye(3)
 
 
-def noisy_box_config(target_pose, seed, **kwargs):
-    """The default run's noise and a 2 cm + 5 deg offset drawn from `seed`."""
-    rng = np.random.default_rng(seed)
+def noisy_box_config(target_pose, rng, seed, **kwargs):
+    """The default run's noise, seeded by `seed`, and a 2 cm + 5 deg offset
+    drawn from `rng`."""
     direction = rng.normal(size=3)
     direction *= 0.02 / np.linalg.norm(direction)
     axis = rng.normal(size=3)
@@ -249,8 +249,9 @@ class TestRansacPrior:
         self, box_scene, target_pose, monkeypatch
     ):
         calls = spy_ransac(monkeypatch)
+        rng = np.random.default_rng(0)
         for seed in range(4):
-            run_servo(box_scene, noisy_box_config(target_pose, seed))
+            run_servo(box_scene, noisy_box_config(target_pose, rng, seed))
         held = [
             np.all(symmetric_transfer_error(prior, R.current_pixels, R.target_pixels) <= 2.0)
             for prior, R in calls
@@ -276,19 +277,13 @@ class TestRansacPrior:
         assert all(r.event == "" for r in records)
         assert all(prior is None for prior, _ in calls)
 
-    def test_huge_gain_still_raises_non_finite_step(self, clean_scene, target_pose):
-        cfg = offset_config(
-            target_pose, [0.004, 0.002, 0, 0, 0, 0.01], control=ControlConfig(gain=1e306)
-        )
-        with pytest.raises(NonFiniteStep):
-            ServoLoop(clean_scene, cfg).step()
-
     def test_oscillating_decay_converges(self, box_scene, target_pose):
         # gain 39 at dt 0.05: rho = -0.95, the error flips sign each cycle
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            rng = np.random.default_rng(0)
             for seed in range(2):
-                cfg = noisy_box_config(target_pose, seed, control=ControlConfig(gain=39.0))
+                cfg = noisy_box_config(target_pose, rng, seed, control=ControlConfig(gain=39.0))
                 trace = run_servo(box_scene, cfg)
                 assert trace.status == "Converged", seed
                 assert len(trace) < 150, seed
@@ -314,22 +309,9 @@ class TestRunServo:
 
     def test_noisy_cluttered_runs_converge(self, box_scene, target_pose):
         # 2 cm + 5 deg offsets, default noise, 100 clutter landmarks
-        detector = SyntheticDetectorConfig(
-            descriptor_noise_sigma=0.02, pixel_noise_sigma=0.3
-        )
         rng = np.random.default_rng(0)
         for seed in range(20):
-            direction = rng.normal(size=3)
-            direction *= 0.02 / np.linalg.norm(direction)
-            axis = rng.normal(size=3)
-            axis *= np.deg2rad(5.0) / np.linalg.norm(axis)
-            cfg = offset_config(
-                target_pose,
-                np.concatenate([direction, axis]),
-                detector=replace(detector, seed=seed),
-                ransac=replace(ServoRunConfig(target_pose, target_pose).ransac, seed=seed),
-            )
-            trace = run_servo(box_scene, cfg)
+            trace = run_servo(box_scene, noisy_box_config(target_pose, rng, seed))
             assert trace.status == "Converged", f"seed {seed}: {trace.status}"
             assert len(trace) <= 400
             assert trace.final_mean_error < 2.0
