@@ -284,7 +284,7 @@ class ServoLoop:
         self._reuse_match = cfg.detector.descriptor_noise_sigma == 0
         self._last_match = None  # (current descriptors, target descriptors, pairs)
         # RANSAC's prior: the control law shrinks the image error by rho =
-        # 1 - gain*dt per cycle, so the last model H is predicted to move on to
+        # 1 - gain*dt per cycle, so the last model H (at any scale) moves on to
         # rho*H + (1 - rho)*H[2,2]*I; None on cycle 1 and after a failed cycle
         self._decay = 1.0 - cfg.control.gain * cfg.dt
         self._prior: np.ndarray | None = None
@@ -327,7 +327,7 @@ class ServoLoop:
                 event=event,
             )
 
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite: no prior
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge gain: no prior
             prior = self._decay * R.model + (1.0 - self._decay) * R.model[2, 2] * np.eye(3)
         self._prior = prior if np.isfinite(prior).all() else None
         current_px, target_px = R.current_pixels, R.target_pixels

@@ -253,7 +253,8 @@ class TestRansacPrior:
         for seed in range(4):
             run_servo(box_scene, noisy_box_config(target_pose, rng, seed))
         held = [
-            np.all(symmetric_transfer_error(prior, R.current_pixels, R.target_pixels) <= 2.0)
+            np.all(symmetric_transfer_error(prior, R.current_pixels, R.target_pixels)
+                   <= RansacConfig().inlier_threshold)
             for prior, R in calls
             if prior is not None
         ]
