@@ -72,18 +72,24 @@ def pseudo_inverse(L: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return Vt.T @ (inv[:, None] * U.T)
 
 
-def control_law(e: np.ndarray, L_hat: np.ndarray, cfg: ControlConfig) -> np.ndarray:
-    """Commanded camera twist (vx, vy, vz, wx, wy, wz): -gain * pinv(L_hat) @ e,
-    optionally saturated."""
+def control_law(e: np.ndarray, L_pinv: np.ndarray, cfg: ControlConfig) -> np.ndarray:
+    """Commanded camera twist (vx, vy, vz, wx, wy, wz): -gain * L_pinv @ e,
+    optionally saturated.
+
+    `L_pinv` is the (6, 2k) pseudo-inverse of the interaction matrix estimate
+    whose rows follow e's. The caller computes it, so a constant estimate such
+    as L* = L(s*, Z*) can be inverted once and reused while its rows stay the
+    same.
+    """
     e = np.asarray(e, dtype=float).reshape(-1)
-    L_hat = np.asarray(L_hat, dtype=float)
-    if L_hat.ndim != 2 or L_hat.shape[1] != 6:
-        raise DimensionMismatch(f"interaction matrix must be (2k, 6), got {L_hat.shape}")
-    if L_hat.shape[0] != e.size:
-        raise DimensionMismatch(f"{e.size} error entries vs {L_hat.shape[0]} matrix rows")
+    L_pinv = np.asarray(L_pinv, dtype=float)
+    if L_pinv.ndim != 2 or L_pinv.shape[0] != 6:
+        raise DimensionMismatch(f"interaction pseudo-inverse must be (6, 2k), got {L_pinv.shape}")
+    if L_pinv.shape[1] != e.size:
+        raise DimensionMismatch(f"{e.size} error entries vs {L_pinv.shape[1]} pseudo-inverse columns")
     if e.size < 2 * MIN_POINTS:
         raise InsufficientFeatures(f"need >= {MIN_POINTS} points, got {e.size // 2}")
-    v = -cfg.gain * (pseudo_inverse(L_hat, cfg.svd_tolerance) @ e)
+    v = -cfg.gain * (L_pinv @ e)
     if cfg.max_twist is not None:
         cap = np.abs(np.asarray(cfg.max_twist, dtype=float))
         v = np.clip(v, -cap, cap)

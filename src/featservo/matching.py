@@ -378,14 +378,14 @@ def tracking_update(
     Matching locks onto the inlier targets once the mean error first drops
     below `threshold`. `matched_target` must be the set the cycle's
     correspondences index into (the locked subset once locked), so a locked
-    subset only shrinks. Inliers that keep every row in order give back
-    `matched_target` itself.
+    subset only shrinks. The lock keeps the rows in `matched_target`'s order,
+    so inliers that cover every row, in any order, give back `matched_target`
+    itself, and a set that stays locked stays the same object.
     """
     if locked is None and mean_error >= threshold:
         return None
+    # the target rows of mutual nearest-neighbour pairs are distinct
     idx = inliers.target_indices
-    # idx[0] rejects most reordered sets before the full comparison
-    n = len(matched_target)
-    if idx.size == n and idx[0] == 0 and np.array_equal(idx, np.arange(n)):
+    if idx.size == len(matched_target):
         return matched_target
-    return matched_target.subset(idx)
+    return matched_target.subset(np.sort(idx))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlConfig, control_law, stack_interaction
+from .control import ControlConfig, control_law, pseudo_inverse, stack_interaction
 from .errors import TooFewCorrespondences, TooFewVisibleLandmarks
 from .features import (
     FeatureSet,
@@ -288,6 +288,21 @@ class ServoLoop:
         # rho*H + (1 - rho)*H[2,2]*I; None on cycle 1 and after a failed cycle
         self._decay = 1.0 - cfg.control.gain * cfg.dt
         self._prior: np.ndarray | None = None
+        # the target side of the control law is fixed while the matched target
+        # set is: s* and the L* = L(s*, Z*) rows of the whole set, recomputed
+        # only when the set changes (the render, a lock, a shrinking lock), and
+        # pinv(L*) of the last gathered rows, reused while those rows repeat
+        self._desired: tuple | None = None  # (target set, s* (m, 2), L* (m, 2, 6))
+        self._pinv: tuple | None = None  # (target rows, pinv of their L* rows)
+
+    def _desired_side(self, target: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+        """s* (m, 2) and the L* rows (m, 2, 6) of every row of `target`."""
+        if self._desired is None or self._desired[0] is not target:
+            s_star = pixel_to_normalized(target.pixels, self.cfg.intrinsics)
+            L_star = stack_interaction(s_star, target.depths).reshape(-1, 2, 6)
+            self._desired = (target, s_star, L_star)
+            self._pinv = None
+        return self._desired[1], self._desired[2]
 
     def step(self) -> CycleRecord:
         cfg = self.cfg
@@ -331,14 +346,19 @@ class ServoLoop:
             prior = self._decay * R.model + (1.0 - self._decay) * R.model[2, 2] * np.eye(3)
         self._prior = prior if np.isfinite(prior).all() else None
         current_px, target_px = R.current_pixels, R.target_pixels
+        rows = R.target_indices
+        s_star_rows, L_star_rows = self._desired_side(target)
         s = pixel_to_normalized(current_px, cfg.intrinsics).reshape(-1)
-        s_star = pixel_to_normalized(target_px, cfg.intrinsics).reshape(-1)
-        e = s - s_star
+        e = s - s_star_rows[rows].reshape(-1)
+        tol = cfg.control.svd_tolerance
         if cfg.use_current_interaction:
-            L = stack_interaction(s, current.depths[R.current_indices])
+            L_pinv = pseudo_inverse(stack_interaction(s, current.depths[R.current_indices]), tol)
+        elif self._pinv is not None and np.array_equal(self._pinv[0], rows):
+            L_pinv = self._pinv[1]
         else:
-            L = stack_interaction(s_star, target.depths[R.target_indices])
-        twist = control_law(e, L, cfg.control)
+            L_pinv = pseudo_inverse(L_star_rows[rows].reshape(-1, 6), tol)
+            self._pinv = (rows, L_pinv)
+        twist = control_law(e, L_pinv, cfg.control)
 
         pair_errors = np.linalg.norm(current_px - target_px, axis=1)
         mean_error = float(np.mean(pair_errors))

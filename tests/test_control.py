@@ -126,38 +126,38 @@ class TestControlLaw:
 
     def test_zero_error_gives_zero_twist(self):
         L = self._random_system(11)
-        v = control_law(np.zeros(6), L, ControlConfig())
+        v = control_law(np.zeros(6), pseudo_inverse(L), ControlConfig())
         assert v.shape == (6,) and np.all(v == 0)
 
     def test_exact_error_rate_inversion(self):
         L = self._random_system(12)
         e = np.random.default_rng(13).uniform(-0.1, 0.1, 6)
-        v = control_law(e, L, ControlConfig(gain=1.0))
+        v = control_law(e, pseudo_inverse(L), ControlConfig(gain=1.0))
         assert np.allclose(L @ v, -e, atol=1e-8)
 
     def test_linear_in_gain(self):
         L = self._random_system(14)
         e = np.random.default_rng(15).uniform(-0.1, 0.1, 6)
-        v1 = control_law(e, L, ControlConfig(gain=0.5))
-        v2 = control_law(e, L, ControlConfig(gain=1.0))
+        v1 = control_law(e, pseudo_inverse(L), ControlConfig(gain=0.5))
+        v2 = control_law(e, pseudo_inverse(L), ControlConfig(gain=1.0))
         assert np.allclose(v2, 2 * v1)
 
     def test_saturation(self):
         L = self._random_system(16)
         e = np.full(6, 0.5)
         cap = 1e-4
-        v = control_law(e, L, ControlConfig(gain=10.0, max_twist=(cap,) * 6))
+        v = control_law(e, pseudo_inverse(L), ControlConfig(gain=10.0, max_twist=(cap,) * 6))
         assert np.all(np.abs(v) <= cap + 1e-15)
 
     def test_too_few_points(self):
         L = np.zeros((4, 6))
         with pytest.raises(InsufficientFeatures):
-            control_law(np.zeros(4), L, ControlConfig())
+            control_law(np.zeros(4), pseudo_inverse(L), ControlConfig())
 
     def test_dimension_mismatch(self):
         L = self._random_system(17)
         with pytest.raises(DimensionMismatch):
-            control_law(np.zeros(8), L, ControlConfig())
+            control_law(np.zeros(8), pseudo_inverse(L), ControlConfig())
 
     def test_invariant_under_consistent_permutation(self):
         rng = np.random.default_rng(18)
@@ -166,11 +166,11 @@ class TestControlLaw:
         Z = rng.uniform(0.5, 3.0, k)
         e = rng.uniform(-0.1, 0.1, 2 * k)
         L = stack_interaction(s, Z)
-        v = control_law(e, L, ControlConfig())
+        v = control_law(e, pseudo_inverse(L), ControlConfig())
 
         perm = rng.permutation(k)
         rows = np.stack([2 * perm, 2 * perm + 1], axis=1).reshape(-1)
-        v_perm = control_law(e[rows], L[rows], ControlConfig())
+        v_perm = control_law(e[rows], pseudo_inverse(L[rows]), ControlConfig())
         assert np.allclose(v, v_perm, atol=1e-12)
 
     def test_config_validation(self):
@@ -207,7 +207,7 @@ class TestClosedLoopDescent:
             prev = norm
             if initial is None:
                 initial = norm
-            v = control_law(e, stack_interaction(s, Z), ControlConfig(gain=gain))
+            v = control_law(e, pseudo_inverse(stack_interaction(s, Z)), ControlConfig(gain=gain))
             camera = compose(camera, se3_exp(dt * v))
         # (1 - gain*dt)^200 ~ 0.0063
         assert prev < 0.01 * initial

@@ -831,11 +831,14 @@ class TestTracking:
         assert len(shrunk) == 8
         assert set(shrunk.landmark_ids) == {0, 1, 2, 3, 5, 6, 8, 9}
 
-    def test_same_object_only_for_every_row_in_order(self):
+    def test_same_object_for_every_row_and_subsets_keep_row_order(self):
         target = make_target(10)
-        assert tracking_update(None, target, inliers_over(target, range(10)), 5.0, 10.0) is target
-        for rows in ([9, 8, 7, 6, 5, 4, 3, 2, 1, 0], [1, 0, *range(2, 10)], range(9)):
+        for rows in (range(10), [9, 8, 7, 6, 5, 4, 3, 2, 1, 0], [1, 0, *range(2, 10)]):
+            assert tracking_update(None, target, inliers_over(target, rows), 5.0, 10.0) is target
+        for rows in ([8, 2, 5, 0], [6, 7, 1, 3, 9], range(9), [9, 8, 7, 6, 5, 4, 3, 2, 1]):
             locked = tracking_update(None, target, inliers_over(target, rows), 5.0, 10.0)
             assert locked is not target
-            assert locked.landmark_ids.tobytes() == target.subset(list(rows)).landmark_ids.tobytes()
+            expected = target.subset(sorted(rows))
+            assert locked.landmark_ids.tobytes() == expected.landmark_ids.tobytes()
+            assert locked.pixels.tobytes() == expected.pixels.tobytes()
         assert tracking_update(target, target, inliers_over(target, range(10)), 30.0, 10.0) is target
