@@ -18,6 +18,15 @@ def _sq_norms(descriptors: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", d, d)
 
 
+def _unit_sq_norms(descriptors: np.ndarray) -> np.ndarray:
+    """The rows' squared norms as float32, after checking that each row's
+    norm, accumulated in float64, is within 1e-6 of 1 (NaN fails)."""
+    sq_norms = _sq_norms(descriptors)
+    if not np.all(np.abs(np.sqrt(sq_norms) - 1.0) <= 1e-6):
+        raise InvalidFeatureSet("descriptors must be finite and unit norm")
+    return sq_norms.astype(np.float32)
+
+
 class FeatureSet:
     """Immutable, ordered set of keypoints for one image.
 
@@ -31,6 +40,21 @@ class FeatureSet:
     )
 
     def __init__(self, pixels, descriptors, scores, image_size, depths=None, landmark_ids=None):
+        self._check(pixels, descriptors, scores, image_size, depths, landmark_ids, None)
+
+    @classmethod
+    def _of_table_rows(cls, pixels, descriptors, sq_norms, scores, image_size, depths, landmark_ids):
+        """A set of descriptor rows gathered from a table whose rows were
+        checked unit-norm when it was built, with their float32 squared norms
+        gathered from the same table; every other check runs as in the
+        constructor."""
+        out = cls.__new__(cls)
+        out._check(pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms)
+        return out
+
+    def _check(self, pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms):
+        """Check and store the arrays; the descriptors' norms are computed and
+        checked unless their float32 squared norms `sq_norms` are given."""
         pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
         with np.errstate(over="ignore"):  # values past float32's range fail the unit-norm check
             descriptors = np.atleast_2d(np.asarray(descriptors, dtype=np.float32))
@@ -41,15 +65,14 @@ class FeatureSet:
         if descriptors.ndim != 2 or descriptors.shape[0] != n:
             raise InvalidFeatureSet("descriptor row count mismatch")
         w, h = int(image_size[0]), int(image_size[1])
-        sq_norms = _sq_norms(descriptors)
         # checks in positive form, so NaN (every comparison false) fails them
         if n > 0:
             if not np.all((pixels >= 0) & (pixels < (w, h))):
                 raise InvalidFeatureSet("keypoint pixel outside image bounds")
             if not np.all((scores >= 0) & (scores <= 1)):
                 raise InvalidFeatureSet("scores must lie in [0, 1]")
-            if not np.all(np.abs(np.sqrt(sq_norms) - 1.0) <= 1e-6):
-                raise InvalidFeatureSet("descriptors must be finite and unit norm")
+        if sq_norms is None:
+            sq_norms = _unit_sq_norms(descriptors)
         if depths is not None:
             depths = np.asarray(depths, dtype=float).reshape(-1)
             if depths.size != n:
@@ -60,15 +83,7 @@ class FeatureSet:
             landmark_ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
             if landmark_ids.size != n:
                 raise InvalidFeatureSet("landmark id count != keypoint count")
-        self._freeze(
-            pixels.reshape(n, 2),
-            descriptors,
-            scores,
-            (w, h),
-            depths,
-            landmark_ids,
-            sq_norms.astype(np.float32),
-        )
+        self._freeze(pixels.reshape(n, 2), descriptors, scores, (w, h), depths, landmark_ids, sq_norms)
 
     def _freeze(self, pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms):
         """Store already-checked arrays, read-only. `sq_norms` are the
@@ -211,18 +226,20 @@ def synthetic_detect(
     # once in final order, gets the bytes it would get if every row were
     # noised and normalized first
     desc = descriptors[landmarks]
-    if noise is not None:
-        # a sigma or noise past float32's range gives inf, then NaN rows,
-        # which fail FeatureSet's unit-norm check
-        with np.errstate(over="ignore", invalid="ignore"):
-            desc += noise[rows] * np.float32(cfg.descriptor_noise_sigma)
-            desc /= np.sqrt(_sq_norms(desc)).astype(np.float32)[:, None]
+    image_size = (intrinsics.width, intrinsics.height)
+    if noise is None:
+        # the table's rows and squared norms, checked when the scene was built
+        return FeatureSet._of_table_rows(
+            noisy_pixels[rows], desc, scene.sq_norms[landmarks], scores, image_size,
+            depths[landmarks], ids[landmarks],
+        )
+    # a sigma or noise past float32's range gives inf, then NaN rows, which
+    # fail FeatureSet's unit-norm check
+    with np.errstate(over="ignore", invalid="ignore"):
+        desc += noise[rows] * np.float32(cfg.descriptor_noise_sigma)
+        desc /= np.sqrt(_sq_norms(desc)).astype(np.float32)[:, None]
     return FeatureSet(
-        noisy_pixels[rows],
-        desc,
-        scores,
-        (intrinsics.width, intrinsics.height),
-        depths=depths[landmarks],
+        noisy_pixels[rows], desc, scores, image_size, depths=depths[landmarks],
         landmark_ids=ids[landmarks],
     )
 

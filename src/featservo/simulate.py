@@ -16,6 +16,7 @@ from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
     _ranked_rows,
+    _unit_sq_norms,
     _visible,
     landmark_scores,
     synthetic_detect,
@@ -69,11 +70,14 @@ class Scene:
     def _set_table(self, points: np.ndarray, descriptors: np.ndarray, n_object: int) -> None:
         """Make (points, descriptors) the landmark table; its first n_object
         rows are the object landmarks, and row i has id i and score
-        landmark_scores(seed, i)."""
+        landmark_scores(seed, i). The descriptors are checked unit-norm here,
+        once, and their float32 squared norms kept in `sq_norms` for the
+        feature sets gathered from the table."""
         self._ids = np.arange(points.shape[0], dtype=np.int64)
         self.scores = landmark_scores(self.seed, self._ids)
+        self.sq_norms = _unit_sq_norms(descriptors)
         self._points, self._descriptors = points, descriptors
-        for a in (points, descriptors, self._ids, self.scores):
+        for a in (points, descriptors, self._ids, self.scores, self.sq_norms):
             a.setflags(write=False)
         self.object_points, self.clutter_points = points[:n_object], points[n_object:]
         self.object_descriptors = descriptors[:n_object]
@@ -195,13 +199,15 @@ def render_target(scene: Scene, target_pose: Pose, intrinsics: CameraIntrinsics)
     if idx.size < 3:
         raise TooFewVisibleLandmarks(f"only {idx.size} object landmarks visible from target pose")
     rows, scores = _ranked_rows(scene, idx, pixels, scene.object_ids)
-    return FeatureSet(
+    # object rows come first in the table, so the object row i is table row i
+    return FeatureSet._of_table_rows(
         pixels[rows],
         scene.object_descriptors[rows],
+        scene.sq_norms[rows],
         scores,
         (intrinsics.width, intrinsics.height),
-        depths=depths[rows],
-        landmark_ids=scene.object_ids[rows],
+        depths[rows],
+        scene.object_ids[rows],
     )
 
 

@@ -308,6 +308,32 @@ class TestFloat32Descriptors:
         assert table.dtype == np.float32
         assert fs.descriptors.tobytes() == table[fs.landmark_ids].tobytes()
 
+    def test_table_norms_are_computed_once_and_gathered(self, intrinsics, monkeypatch):
+        scene = make_box_scene(seed=3, n_clutter=40)
+        table = scene.current_view_landmarks()[1]
+        expected = np.einsum("ij,ij->i", *2 * (table.astype(np.float64),)).astype(np.float32)
+        assert scene.sq_norms.tobytes() == expected.tobytes()
+        assert not scene.sq_norms.flags.writeable
+        # noise-free detection and the target render gather the table's norms:
+        # the same bytes as a set built, and checked, from their rows
+        einsum, calls = np.einsum, []
+        monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(1) or einsum(*a, **kw))
+        camera = Pose(np.eye(3), (0.01, 0.0, -0.4))
+        found = [synthetic_detect(scene, camera, intrinsics, SyntheticDetectorConfig()),
+                 render_target(scene, camera, intrinsics)]
+        monkeypatch.undo()
+        assert calls == []
+        for fs in found:
+            built = FeatureSet(fs.pixels, fs.descriptors, fs.scores, fs.image_size,
+                               depths=fs.depths, landmark_ids=fs.landmark_ids)
+            assert fs.sq_norms.tobytes() == built.sq_norms.tobytes()
+            assert fs.sq_norms.tobytes() == scene.sq_norms[fs.landmark_ids].tobytes()
+
+    def test_table_rows_are_checked_when_the_scene_is_built(self):
+        # zero-width rows have norm 0
+        with pytest.raises(InvalidFeatureSet, match="unit norm"):
+            Scene([[0.0, 0.0, 0.0]], np.zeros((0, 3)), seed=0, descriptor_dim=0)
+
     @given(sigma=st.floats(0.0, 1.0), d=st.sampled_from([2, 32, 256]),
            seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
