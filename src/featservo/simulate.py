@@ -352,13 +352,18 @@ class ServoLoop:
             prior = self._decay * R.model + (1.0 - self._decay) * R.model[2, 2] * np.eye(3)
         self._prior = prior if np.isfinite(prior).all() else None
         current_px, target_px = R.current_pixels, R.target_pixels
-        rows = R.target_indices
+        # the control law takes the pairs in ascending target-row order, so the
+        # gathered rows repeat whenever the inlier set does, in whatever order
+        # matching put its pairs
+        order = np.argsort(R.target_indices)
+        rows = R.target_indices[order]
         s_star_rows, L_star_rows = self._desired_side(target)
-        s = pixel_to_normalized(current_px, cfg.intrinsics).reshape(-1)
+        s = pixel_to_normalized(current_px[order], cfg.intrinsics).reshape(-1)
         e = s - s_star_rows[rows].reshape(-1)
         tol = cfg.control.svd_tolerance
         if cfg.use_current_interaction:
-            L_pinv = pseudo_inverse(stack_interaction(s, current.depths[R.current_indices]), tol)
+            Z = current.depths[R.current_indices[order]]
+            L_pinv = pseudo_inverse(stack_interaction(s, Z), tol)
         elif self._pinv is not None and np.array_equal(self._pinv[0], rows):
             L_pinv = self._pinv[1]
         else:
