@@ -167,6 +167,42 @@ class TestIntegrateTwist:
             assert got.rotation.tobytes() == expected.rotation.tobytes()
             assert got.translation.tobytes() == expected.translation.tobytes()
 
+    def test_random_chained_steps_stay_orthonormal(self):
+        rng = np.random.default_rng(11)
+        pose = IDENTITY
+        for _ in range(10_000):
+            pose = integrate_twist(pose, rng.normal(0.0, 1.0, 6), 0.05)
+            # one check per step costs more than the step; every 100 is enough
+            if rng.random() < 0.01:
+                assert np.abs(pose.rotation.T @ pose.rotation - np.eye(3)).max() < 1e-14
+        assert np.abs(pose.rotation.T @ pose.rotation - np.eye(3)).max() < 1e-14
+        assert np.linalg.det(pose.rotation) == pytest.approx(1.0, abs=1e-14)
+
+    @given(
+        u=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        axis=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda a: np.linalg.norm(a) > 1e-3
+        ),
+        angle=st.one_of(
+            st.floats(0.0, 1e-8), st.floats(1e-8, 1e-4), st.floats(1e-4, np.pi)
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_se3_exp_matches_the_series(self, u, axis, angle):
+        # below _SMALL_ANGLE = 1e-8 the Taylor branch, above it the closed form
+        w = np.asarray(axis) * (angle / np.linalg.norm(axis))
+        X = np.zeros((4, 4))
+        X[:3, :3] = [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
+        X[:3, 3] = u
+        # sum of X^k / k!: |X| <= pi + sqrt(3), so 60 terms leave < 1e-30
+        term, series = np.eye(4), np.eye(4)
+        for k in range(1, 60):
+            term = term @ X / k
+            series = series + term
+        step = se3_exp([*u, *w])
+        np.testing.assert_allclose(step.rotation, series[:3, :3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.translation, series[:3, 3], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("entry", [0, 2, 3, 5])
     def test_nonfinite_twist_raises(self, bad, entry):

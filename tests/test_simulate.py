@@ -1,15 +1,15 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import featservo.simulate as simulate
 
-from featservo.control import ControlConfig
+from featservo.control import ControlConfig, stack_interaction
 from featservo.errors import TooFewCorrespondences, TooFewVisibleLandmarks
 from featservo.features import SyntheticDetectorConfig, synthetic_detect
-from featservo.geometry import Pose, compose, pose_error, se3_exp
+from featservo.geometry import Pose, compose, pixel_to_normalized, pose_error, se3_exp
 from featservo.matching import RansacConfig, symmetric_transfer_error
 from featservo.simulate import (
     CycleRecord,
@@ -288,6 +288,146 @@ class TestRansacPrior:
                 trace = run_servo(box_scene, cfg)
                 assert trace.status == "Converged", seed
                 assert len(trace) < 150, seed
+
+
+def spy(monkeypatch, name):
+    """Record the (arguments, result) of each call the loop makes to
+    simulate.<name>."""
+    f, calls = getattr(simulate, name), []
+
+    def wrapper(*args):
+        calls.append((args, f(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(simulate, name, wrapper)
+    return calls
+
+
+def step_to_end(loop):
+    """Step a loop as run_servo would, to convergence or the cycle budget;
+    the records and each cycle's matched target set."""
+    records, targets = [], []
+    for _ in range(loop.cfg.max_cycles):
+        targets.append(loop.target_full if loop.locked is None else loop.locked)
+        records.append(loop.step())
+        if records[-1].mean_error < loop.cfg.success_threshold:
+            break
+    return records, targets
+
+
+class TestControlCaches:
+    """The target side of the control law, s* and L* = L(s*, Z*), is
+    computed once per matched target set, and pinv(L*) once per gathered
+    rows; use_current_interaction builds L(s, Z) every cycle."""
+
+    def from_scratch(self, cfg, R, target, current):
+        """-gain * pinv(L) @ (s - s*) of the inlier pairs R, in R's order."""
+        s = pixel_to_normalized(R.current_pixels, cfg.intrinsics).reshape(-1)
+        s_star = pixel_to_normalized(R.target_pixels, cfg.intrinsics).reshape(-1)
+        if cfg.use_current_interaction:
+            L = stack_interaction(s, current.depths[R.current_indices])
+        else:
+            L = stack_interaction(s_star, target.depths[R.target_indices])
+        return -cfg.control.gain * (np.linalg.pinv(L) @ (s - s_star))
+
+    def test_one_pseudo_inverse_per_target_set_and_rows(self, target_pose, monkeypatch):
+        calls = spy(monkeypatch, "pseudo_inverse")
+        cfg = offset_config(
+            target_pose, [0.01, -0.008, 0.005, 0.03, -0.02, 0.05],
+            control=ControlConfig(gain=1.5),
+        )
+        records, targets = step_to_end(ServoLoop(make_planar_scene(seed=2), cfg))
+        assert records[-1].mean_error < cfg.success_threshold
+        assert all(r.event == "" for r in records)
+        # the rows of one target set are its landmarks
+        keys = [(t, r.inlier_target_ids) for t, r in zip(targets, records)]
+        distinct = 1 + sum(
+            a[0] is not b[0] or a[1] != b[1] for a, b in zip(keys, keys[1:])
+        )
+        assert len(calls) == distinct < len(records) // 2
+
+    def test_every_twist_is_the_control_law_from_scratch(
+        self, box_scene, target_pose, monkeypatch
+    ):
+        ransac = spy_ransac(monkeypatch)
+        currents = spy(monkeypatch, "top_k")
+        pinv = spy(monkeypatch, "pseudo_inverse")
+        cfg = noisy_box_config(target_pose, np.random.default_rng(1), 1)
+        records, targets = step_to_end(ServoLoop(box_scene, cfg))
+        assert records[-1].mean_error < cfg.success_threshold
+        assert any(r.tracking for r in records)
+        for rec, (_, R), target, (_, current) in zip(records, ransac, targets, currents):
+            expected = self.from_scratch(cfg, R, target, current)
+            np.testing.assert_allclose(rec.twist, expected, rtol=0, atol=1e-12)
+        assert len(pinv) < len(records) // 2
+
+    def test_a_new_or_shrunk_lock_rebuilds_the_target_rows(
+        self, box_scene, target_pose, monkeypatch
+    ):
+        ransac = spy_ransac(monkeypatch)
+        currents = spy(monkeypatch, "top_k")
+        calls = spy(monkeypatch, "stack_interaction")
+        # detection dropout leaves rows of the lock unmatched, so it shrinks
+        cfg = noisy_box_config(target_pose, np.random.default_rng(0), 0)
+        cfg = replace(cfg, detector=replace(cfg.detector, detection_dropout=0.05))
+        records, targets = step_to_end(ServoLoop(box_scene, cfg))
+        assert records[-1].mean_error < cfg.success_threshold
+        assert all(r.event == "" for r in records)
+        changes = [0] + [
+            i for i in range(1, len(targets)) if targets[i] is not targets[i - 1]
+        ]
+        lengths = [len(targets[i]) for i in changes]
+        # the render, the lock, and at least one shrink of it
+        assert records[changes[1]].tracking and len(changes) >= 3
+        assert all(b < a for a, b in zip(lengths[1:], lengths[2:]))
+        assert len(calls) == len(changes)
+        for ((s_star, depths), _), i in zip(calls, changes):
+            target = targets[i]
+            assert depths.tobytes() == target.depths.tobytes()
+            expected = pixel_to_normalized(target.pixels, cfg.intrinsics).reshape(-1)
+            assert s_star.reshape(-1).tobytes() == expected.tobytes()
+        for rec, (_, R), target, (_, current) in zip(records, ransac, targets, currents):
+            expected = self.from_scratch(cfg, R, target, current)
+            np.testing.assert_allclose(rec.twist, expected, rtol=0, atol=1e-12)
+
+    def test_a_new_target_set_with_the_same_rows_drops_the_pseudo_inverse(
+        self, box_scene, target_pose, monkeypatch
+    ):
+        ransac = spy_ransac(monkeypatch)
+        cfg = noisy_box_config(target_pose, np.random.default_rng(1), 1)
+        loop = ServoLoop(box_scene, cfg)
+        while loop.locked is None:
+            loop.step()
+        # every row is an inlier, so the reversed set gives the same rows
+        target = loop.target_full.subset(np.arange(len(loop.target_full))[::-1])
+        loop.locked = target
+        currents = spy(monkeypatch, "top_k")
+        records = [loop.step() for _ in range(3)]
+        assert loop.locked is target
+        for rec, (_, R), (_, cur) in zip(records, ransac[-3:], currents):
+            assert len(R) == len(target)
+            expected = self.from_scratch(cfg, R, target, cur)
+            np.testing.assert_allclose(rec.twist, expected, rtol=0, atol=1e-12)
+
+    def test_current_interaction_builds_l_every_cycle(
+        self, box_scene, target_pose, monkeypatch
+    ):
+        ransac = spy_ransac(monkeypatch)
+        currents = spy(monkeypatch, "top_k")
+        stack = spy(monkeypatch, "stack_interaction")
+        pinv = spy(monkeypatch, "pseudo_inverse")
+        cfg = noisy_box_config(
+            target_pose, np.random.default_rng(1), 1, use_current_interaction=True
+        )
+        records, targets = step_to_end(ServoLoop(box_scene, cfg))
+        assert records[-1].mean_error < cfg.success_threshold
+        assert all(r.event == "" for r in records)
+        changes = 1 + sum(a is not b for a, b in zip(targets, targets[1:]))
+        assert len(pinv) == len(records)
+        assert len(stack) == len(records) + changes
+        for rec, (_, R), target, (_, current) in zip(records, ransac, targets, currents):
+            expected = self.from_scratch(cfg, R, target, current)
+            np.testing.assert_allclose(rec.twist, expected, rtol=0, atol=1e-12)
 
 
 class TestRunServo:
