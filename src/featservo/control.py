@@ -84,9 +84,9 @@ def control_law(e: np.ndarray, L_pinv: np.ndarray, cfg: ControlConfig) -> np.nda
     e = np.asarray(e, dtype=float).reshape(-1)
     L_pinv = np.asarray(L_pinv, dtype=float)
     if L_pinv.ndim != 2 or L_pinv.shape[0] != 6:
-        raise DimensionMismatch(f"interaction pseudo-inverse must be (6, 2k), got {L_pinv.shape}")
+        raise DimensionMismatch(f"interaction pinv must be (6, 2k), got {L_pinv.shape}")
     if L_pinv.shape[1] != e.size:
-        raise DimensionMismatch(f"{e.size} error entries vs {L_pinv.shape[1]} pseudo-inverse columns")
+        raise DimensionMismatch(f"{e.size} error entries vs {L_pinv.shape[1]} pinv columns")
     if e.size < 2 * MIN_POINTS:
         raise InsufficientFeatures(f"need >= {MIN_POINTS} points, got {e.size // 2}")
     v = -cfg.gain * (L_pinv @ e)

@@ -43,7 +43,9 @@ class FeatureSet:
         self._check(pixels, descriptors, scores, image_size, depths, landmark_ids, None)
 
     @classmethod
-    def _of_table_rows(cls, pixels, descriptors, sq_norms, scores, image_size, depths, landmark_ids):
+    def _of_table_rows(
+        cls, pixels, descriptors, sq_norms, scores, image_size, depths, landmark_ids
+    ):
         """A set of descriptor rows gathered from a table whose rows were
         checked unit-norm when it was built, with their float32 squared norms
         gathered from the same table; every other check runs as in the
@@ -83,7 +85,9 @@ class FeatureSet:
             landmark_ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
             if landmark_ids.size != n:
                 raise InvalidFeatureSet("landmark id count != keypoint count")
-        self._freeze(pixels.reshape(n, 2), descriptors, scores, (w, h), depths, landmark_ids, sq_norms)
+        self._freeze(
+            pixels.reshape(n, 2), descriptors, scores, (w, h), depths, landmark_ids, sq_norms
+        )
 
     def _freeze(self, pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms):
         """Store already-checked arrays, read-only. `sq_norms` are the
