@@ -65,7 +65,10 @@ class Scene:
         rng = np.random.default_rng(self.seed)
         desc = rng.normal(size=(points.shape[0], self.descriptor_dim))
         desc /= np.linalg.norm(desc, axis=1, keepdims=True)
-        self._set_table(points, desc.astype(np.float32), n)
+        # the float64 draw is freed before _set_table copies the float32 rows
+        # to float64 for their norms, so the two never coexist
+        desc = desc.astype(np.float32)
+        self._set_table(points, desc, n)
 
     def _set_table(self, points: np.ndarray, descriptors: np.ndarray, n_object: int) -> None:
         """Make (points, descriptors) the landmark table; its first n_object
