@@ -9,6 +9,7 @@ from .control import (
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
+    render_target,
     synthetic_detect,
     top_k,
 )
@@ -36,7 +37,6 @@ from .simulate import (
     ServoRunConfig,
     ServoTrace,
     make_box_scene,
-    render_target,
     run_servo,
 )
 

@@ -1,5 +1,6 @@
-"""Feature-set data model and a synthetic oracle detector over landmark
-scenes.
+"""Feature sets, the synthetic oracle detector over a landmark scene's
+table, and the target render: the same detector, noise-free, over the
+object rows.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFeatureSet
+from .errors import InvalidFeatureSet, TooFewVisibleLandmarks
 from .geometry import CameraIntrinsics, Pose, project_many
 
 
@@ -48,7 +49,8 @@ class FeatureSet:
     ):
         """A set of descriptor rows gathered from a table whose rows were
         checked unit-norm when it was built, with their float32 squared norms
-        gathered from the same table; every other check runs as in the
+        gathered from the same table; with `sq_norms` None (rows changed since)
+        the norms are computed and checked. Every other check runs as in the
         constructor."""
         out = cls.__new__(cls)
         out._check(pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms)
@@ -170,24 +172,16 @@ def _in_frame(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     )
 
 
-def _visible(scene, points: np.ndarray, camera: Pose, intrinsics: CameraIntrinsics):
-    """Project world points; returns (pixels, depths, visible mask).
+def _visible(scene, camera: Pose, intrinsics: CameraIntrinsics):
+    """Project the scene's landmarks; returns (pixels, depths, visible mask).
 
     Visible means positive depth, inside the frame and within the scene's
     view cone.
     """
-    pixels, depths = project_many(camera.world_to_camera(points), intrinsics)
+    pixels, depths = project_many(camera.world_to_camera(scene.points), intrinsics)
     visible = (depths > 1e-9) & _in_frame(pixels, intrinsics)
-    visible &= scene.view_cone_mask(points, camera.translation)
+    visible &= scene.view_cone_mask(camera.translation)
     return pixels, depths, visible
-
-
-def _ranked_rows(scene, keep, pixels, ids):
-    """Rows `keep` of per-landmark arrays, highest confidence first, and
-    their scores in that order, so callers gather each row once."""
-    scores = scene.scores[ids[keep]]
-    rank = _order_by_score(pixels[keep], scores)
-    return keep[rank], scores[rank]
 
 
 def synthetic_detect(
@@ -207,8 +201,7 @@ def synthetic_detect(
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    points, descriptors, ids = scene.current_view_landmarks()
-    pixels, depths, visible = _visible(scene, points, camera, intrinsics)
+    pixels, depths, visible = _visible(scene, camera, intrinsics)
     idx = np.flatnonzero(visible)
     # one draw per visible landmark, in scene order, so runs are reproducible
     keep = rng.random(idx.size) >= cfg.detection_dropout
@@ -219,33 +212,43 @@ def synthetic_detect(
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
     noise = None
     if cfg.descriptor_noise_sigma > 0:
-        noise = rng.standard_normal((n, descriptors.shape[1]), dtype=np.float32)
+        noise = rng.standard_normal((n, scene.descriptors.shape[1]), dtype=np.float32)
 
-    # keypoints pushed out of frame by noise are dropped, never clamped
+    # keypoints pushed out of frame by noise are dropped, never clamped;
+    # the rest are ranked highest confidence first, and each row of the
+    # table is gathered once, in that order
     inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
-    rows, scores = _ranked_rows(scene, inb, noisy_pixels, ids[idx])
+    scores = scene.scores[idx[inb]]
+    rank = _order_by_score(noisy_pixels[inb], scores)
+    rows = inb[rank]
     landmarks = idx[rows]
-    # the table rows are unit float32; without noise they are kept as they
-    # are. Noise and normalization act row by row, so each kept row, gathered
-    # once in final order, gets the bytes it would get if every row were
-    # noised and normalized first
-    desc = descriptors[landmarks]
-    image_size = (intrinsics.width, intrinsics.height)
-    if noise is None:
-        # the table's rows and squared norms, checked when the scene was built
-        return FeatureSet._of_table_rows(
-            noisy_pixels[rows], desc, scene.sq_norms[landmarks], scores, image_size,
-            depths[landmarks], ids[landmarks],
-        )
-    # a sigma or noise past float32's range gives inf, then NaN rows, which
-    # fail FeatureSet's unit-norm check
-    with np.errstate(over="ignore", invalid="ignore"):
-        desc += noise[rows] * np.float32(cfg.descriptor_noise_sigma)
-        desc /= np.sqrt(_sq_norms(desc)).astype(np.float32)[:, None]
-    return FeatureSet(
-        noisy_pixels[rows], desc, scores, image_size, depths=depths[landmarks],
-        landmark_ids=ids[landmarks],
+    # without noise the table's unit float32 rows and their squared norms,
+    # checked when the scene was built, are kept as they are. Noise and
+    # normalization act row by row, so each kept row gets the bytes it would
+    # get if every row were noised and normalized first
+    desc = scene.descriptors[landmarks]
+    sq_norms = scene.sq_norms[landmarks]
+    if noise is not None:
+        # a sigma or noise past float32's range gives inf, then NaN rows,
+        # which fail FeatureSet's unit-norm check
+        with np.errstate(over="ignore", invalid="ignore"):
+            desc += noise[rows] * np.float32(cfg.descriptor_noise_sigma)
+            desc /= np.sqrt(_sq_norms(desc)).astype(np.float32)[:, None]
+        sq_norms = None
+    return FeatureSet._of_table_rows(
+        noisy_pixels[rows], desc, sq_norms, scores[rank], (intrinsics.width, intrinsics.height),
+        depths[landmarks], scene.ids[landmarks],
     )
+
+
+def render_target(scene, target_pose: Pose, intrinsics: CameraIntrinsics) -> FeatureSet:
+    """Noise-free render of the target view, with exact depths: the detector
+    without noise over the scene's object rows, so clutter never appears."""
+    fs = synthetic_detect(scene.without_clutter(), target_pose, intrinsics,
+                          SyntheticDetectorConfig())
+    if len(fs) < 3:
+        raise TooFewVisibleLandmarks(f"only {len(fs)} object landmarks visible from target pose")
+    return fs
 
 
 def top_k(fs: FeatureSet, k: int) -> FeatureSet:

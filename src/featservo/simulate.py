@@ -1,6 +1,6 @@
-"""Simulated world and closed servo loop: landmark scenes with clutter,
-noiseless target rendering with exact feature depths, and the
-detect/match/reject/control cycle driven to convergence.
+"""Simulated world and closed servo loop: landmark scenes with clutter as
+one table, the detect/match/reject/control cycle driven to convergence
+from a target rendered by `features.render_target`, and the trace outputs.
 """
 
 from __future__ import annotations
@@ -11,14 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlConfig, control_law, pseudo_inverse, stack_interaction
-from .errors import TooFewCorrespondences, TooFewVisibleLandmarks
+from .errors import TooFewCorrespondences
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
-    _ranked_rows,
     _unit_sq_norms,
-    _visible,
     landmark_scores,
+    render_target,
     synthetic_detect,
     top_k,
 )
@@ -28,16 +27,20 @@ from .matching import RansacConfig, match_nn, ransac_inliers, tracking_update
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=160.0, cy=120.0, width=320, height=240)
 
 _INSUFFICIENT_LIMIT = 10  # consecutive starved cycles before giving up
+_TABLE = ("points", "descriptors", "ids", "scores", "sq_norms")  # Scene's per-row arrays
 
 
 class Scene:
-    """3D landmark world: object landmarks (rendered in target views) plus
-    clutter landmarks visible only in current views.
+    """3D landmark world as one read-only table, object rows first: the
+    object landmarks (rendered in target views), then clutter landmarks
+    visible only in current views.
 
-    Canonical descriptors are drawn in float64 from the seed, normalized and
-    stored as float32. Points, descriptors, ids and detection scores live in
-    one read-only table, object rows first; the per-group attributes are row
-    views of it.
+    Row i is landmark i: `points` (n, 3), float32 unit `descriptors` (n, d),
+    `ids` (row i has id i), detection `scores` landmark_scores(seed, i), and
+    the descriptors' float32 squared norms `sq_norms`, checked unit-norm
+    once, here, for the feature sets gathered from the table. The first
+    `n_object` rows are the object. Canonical descriptors are drawn in
+    float64 from the seed, normalized and stored as float32.
     """
 
     def __init__(
@@ -50,8 +53,8 @@ class Scene:
         descriptor_dim: int = 256,
     ):
         obj = np.asarray(object_points, dtype=float).reshape(-1, 3)
-        points = np.vstack([obj, np.asarray(clutter_points, dtype=float).reshape(-1, 3)])
-        n = obj.shape[0]
+        self.points = np.vstack([obj, np.asarray(clutter_points, dtype=float).reshape(-1, 3)])
+        self.n_object = n = obj.shape[0]
         self.seed = int(seed)
         self.descriptor_dim = int(descriptor_dim)
         self.max_incidence_deg = max_incidence_deg
@@ -63,64 +66,39 @@ class Scene:
         self.object_normals = object_normals
 
         rng = np.random.default_rng(self.seed)
-        desc = rng.normal(size=(points.shape[0], self.descriptor_dim))
+        desc = rng.normal(size=(self.points.shape[0], self.descriptor_dim))
         desc /= np.linalg.norm(desc, axis=1, keepdims=True)
-        # the float64 draw is freed before _set_table copies the float32 rows
-        # to float64 for their norms, so the two never coexist
-        desc = desc.astype(np.float32)
-        self._set_table(points, desc, n)
+        # the float64 draw is freed before the norms copy the float32 rows to
+        # float64, so the two never coexist
+        self.descriptors = desc = desc.astype(np.float32)
+        self.ids = np.arange(self.points.shape[0], dtype=np.int64)
+        self.scores = landmark_scores(self.seed, self.ids)
+        self.sq_norms = _unit_sq_norms(desc)
+        for name in _TABLE:
+            getattr(self, name).setflags(write=False)
 
-    def _set_table(self, points: np.ndarray, descriptors: np.ndarray, n_object: int) -> None:
-        """Make (points, descriptors) the landmark table; its first n_object
-        rows are the object landmarks, and row i has id i and score
-        landmark_scores(seed, i). The descriptors are checked unit-norm here,
-        once, and their float32 squared norms kept in `sq_norms` for the
-        feature sets gathered from the table."""
-        self._ids = np.arange(points.shape[0], dtype=np.int64)
-        self.scores = landmark_scores(self.seed, self._ids)
-        self.sq_norms = _unit_sq_norms(descriptors)
-        self._points, self._descriptors = points, descriptors
-        for a in (points, descriptors, self._ids, self.scores, self.sq_norms):
-            a.setflags(write=False)
-        self.object_points, self.clutter_points = points[:n_object], points[n_object:]
-        self.object_descriptors = descriptors[:n_object]
-        self.clutter_descriptors = descriptors[n_object:]
-        self.object_ids, self.clutter_ids = self._ids[:n_object], self._ids[n_object:]
-
-    @property
-    def n_object(self) -> int:
-        return self.object_points.shape[0]
-
-    @property
-    def n_clutter(self) -> int:
-        return self.clutter_points.shape[0]
-
-    def current_view_landmarks(self):
-        """Everything a current-view detector can see, object rows then
-        clutter rows: the (points, descriptors, ids) table itself."""
-        return self._points, self._descriptors, self._ids
-
-    def view_cone_mask(self, points: np.ndarray, camera_position: np.ndarray) -> np.ndarray:
+    def view_cone_mask(self, camera_position: np.ndarray) -> np.ndarray:
         """Per-landmark visibility from a camera position, by incidence angle.
 
         Only object landmarks carry normals; clutter always passes.
         """
-        mask = np.ones(points.shape[0], dtype=bool)
+        mask = np.ones(self.points.shape[0], dtype=bool)
         if self.object_normals is None or self.max_incidence_deg is None:
             return mask
         n = self.n_object
-        to_cam = camera_position - points[:n]
+        to_cam = camera_position - self.points[:n]
         to_cam /= np.linalg.norm(to_cam, axis=1, keepdims=True) + 1e-300
         cos_inc = np.sum(to_cam * self.object_normals, axis=1)
         mask[:n] = cos_inc >= np.cos(np.deg2rad(self.max_incidence_deg))
         return mask
 
     def without_clutter(self) -> "Scene":
-        """The same scene without clutter; its table is the object rows of
-        this one, so the object descriptors are shared, not regenerated."""
+        """The same scene without clutter: every table array is a view of
+        this one's object rows, so nothing is drawn or computed again."""
         scene = Scene.__new__(Scene)
         vars(scene).update(vars(self))
-        scene._set_table(self.object_points, self.object_descriptors, self.n_object)
+        for name in _TABLE:
+            setattr(scene, name, getattr(self, name)[: self.n_object])
         return scene
 
 
@@ -190,28 +168,6 @@ def make_planar_scene(
     pts = rng.uniform(-half, half, size=(n_object, 3))
     pts[:, 2] = 0.0
     return Scene(pts, _clutter_shell(rng, n_clutter, clutter_shell), seed, None, None, descriptor_dim)
-
-
-def render_target(scene: Scene, target_pose: Pose, intrinsics: CameraIntrinsics) -> FeatureSet:
-    """Noiseless feature render of the target view, with exact depths.
-
-    Only object landmarks appear; clutter is never part of the target.
-    """
-    pixels, depths, visible = _visible(scene, scene.object_points, target_pose, intrinsics)
-    idx = np.flatnonzero(visible)
-    if idx.size < 3:
-        raise TooFewVisibleLandmarks(f"only {idx.size} object landmarks visible from target pose")
-    rows, scores = _ranked_rows(scene, idx, pixels, scene.object_ids)
-    # object rows come first in the table, so the object row i is table row i
-    return FeatureSet._of_table_rows(
-        pixels[rows],
-        scene.object_descriptors[rows],
-        scene.sq_norms[rows],
-        scores,
-        (intrinsics.width, intrinsics.height),
-        depths[rows],
-        scene.object_ids[rows],
-    )
 
 
 @dataclass(frozen=True)
@@ -301,14 +257,17 @@ class ServoLoop:
         # set is: s* and the L* = L(s*, Z*) rows of the whole set, recomputed
         # only when the set changes (the render, a lock, a shrinking lock), and
         # pinv(L*) of the last gathered rows, reused while those rows repeat
-        self._desired: tuple | None = None  # (target set, s* (m, 2), L* (m, 2, 6))
+        self._desired: tuple | None = None  # (target set, s* (m, 2), L* (m, 2, 6) or None)
         self._pinv: tuple | None = None  # (target rows, pinv of their L* rows)
 
-    def _desired_side(self, target: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-        """s* (m, 2) and the L* rows (m, 2, 6) of every row of `target`."""
+    def _desired_side(self, target: FeatureSet) -> tuple[np.ndarray, np.ndarray | None]:
+        """s* (m, 2) and the L* rows (m, 2, 6) of every row of `target`; no
+        L* rows (None) when the control law uses L(s, Z) instead."""
         if self._desired is None or self._desired[0] is not target:
             s_star = pixel_to_normalized(target.pixels, self.cfg.intrinsics)
-            L_star = stack_interaction(s_star, target.depths).reshape(-1, 2, 6)
+            L_star = None
+            if not self.cfg.use_current_interaction:
+                L_star = stack_interaction(s_star, target.depths).reshape(-1, 2, 6)
             self._desired = (target, s_star, L_star)
             self._pinv = None
         return self._desired[1], self._desired[2]

@@ -11,12 +11,13 @@ from featservo.features import (
     _order_by_score,
     _visible,
     landmark_scores,
+    render_target,
     synthetic_detect,
     top_k,
 )
 from featservo.geometry import CameraIntrinsics, Pose, project_many, se3_exp
 from featservo.matching import match_nn
-from featservo.simulate import Scene, make_box_scene, render_target
+from featservo.simulate import Scene, make_box_scene
 
 
 def unit_descriptors(n, d=16, seed=0):
@@ -148,11 +149,11 @@ class TestLandmarkScores:
 
     def test_scene_table_holds_the_scores(self):
         scene = make_box_scene(seed=4, n_clutter=30)
-        ids = scene.current_view_landmarks()[2]
-        assert scene.scores.tobytes() == landmark_scores(4, ids).tobytes()
+        assert scene.scores.tobytes() == landmark_scores(4, scene.ids).tobytes()
         assert not scene.scores.flags.writeable
         bare = scene.without_clutter()
         assert bare.scores.tobytes() == scene.scores[: scene.n_object].tobytes()
+        assert np.shares_memory(bare.scores, scene.scores)
 
 
 class TestSyntheticDetect:
@@ -160,18 +161,17 @@ class TestSyntheticDetect:
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
         fs = synthetic_detect(axis_scene, camera, intrinsics, SyntheticDetectorConfig())
         assert len(fs) == 1
-        expected, depth = project_many(camera.world_to_camera(axis_scene.object_points), intrinsics)
+        expected, depth = project_many(camera.world_to_camera(axis_scene.points), intrinsics)
         assert np.array_equal(fs.pixels[0], expected[0])
         assert fs.depths[0] == depth[0] == 0.4
-        assert np.array_equal(fs.descriptors[0], axis_scene.object_descriptors[0])
+        assert np.array_equal(fs.descriptors[0], axis_scene.descriptors[0])
 
     def test_full_dropout_gives_empty_set(self, intrinsics):
         # with every row dropped, the size-0 noise draws leave the generator
         # where the one dropout draw over the visible rows left it
         scene = make_box_scene(seed=12)
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
-        points = scene.current_view_landmarks()[0]
-        n_visible = int(_visible(scene, points, camera, intrinsics)[2].sum())
+        n_visible = int(_visible(scene, camera, intrinsics)[2].sum())
         cfg = SyntheticDetectorConfig(
             detection_dropout=1.0, pixel_noise_sigma=0.3, descriptor_noise_sigma=0.02
         )
@@ -227,8 +227,8 @@ def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
     float32 descriptors: every visible row noised and normalized, then ranked
     and gathered. The generator is drawn in the same order: dropout, pixel
     noise, float32 descriptor noise."""
-    points, descriptors, ids = scene.current_view_landmarks()
-    pixels, depths, visible = _visible(scene, points, camera, intrinsics)
+    descriptors, ids = scene.descriptors, scene.ids
+    pixels, depths, visible = _visible(scene, camera, intrinsics)
     idx = np.flatnonzero(visible)
     keep = rng.random(idx.size) >= cfg.detection_dropout
     idx = idx[keep]
@@ -304,13 +304,13 @@ class TestFloat32Descriptors:
         scene = make_box_scene(seed=3, n_clutter=40)
         fs = synthetic_detect(scene, Pose(np.eye(3), (0.0, 0.0, -0.4)), intrinsics,
                               SyntheticDetectorConfig(pixel_noise_sigma=0.3))
-        table = scene.current_view_landmarks()[1]
+        table = scene.descriptors
         assert table.dtype == np.float32
         assert fs.descriptors.tobytes() == table[fs.landmark_ids].tobytes()
 
     def test_table_norms_are_computed_once_and_gathered(self, intrinsics, monkeypatch):
         scene = make_box_scene(seed=3, n_clutter=40)
-        table = scene.current_view_landmarks()[1]
+        table = scene.descriptors
         expected = np.einsum("ij,ij->i", *2 * (table.astype(np.float64),)).astype(np.float32)
         assert scene.sq_norms.tobytes() == expected.tobytes()
         assert not scene.sq_norms.flags.writeable
@@ -319,11 +319,13 @@ class TestFloat32Descriptors:
         einsum, calls = np.einsum, []
         monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(1) or einsum(*a, **kw))
         camera = Pose(np.eye(3), (0.01, 0.0, -0.4))
-        found = [synthetic_detect(scene, camera, intrinsics, SyntheticDetectorConfig()),
-                 render_target(scene, camera, intrinsics)]
-        monkeypatch.undo()
+        detected = synthetic_detect(scene, camera, intrinsics, SyntheticDetectorConfig())
         assert calls == []
-        for fs in found:
+        # the render's scene without clutter shares the table's norms too
+        rendered = render_target(scene, camera, intrinsics)
+        assert calls == []
+        monkeypatch.undo()
+        for fs in (detected, rendered):
             built = FeatureSet(fs.pixels, fs.descriptors, fs.scores, fs.image_size,
                                depths=fs.depths, landmark_ids=fs.landmark_ids)
             assert fs.sq_norms.tobytes() == built.sq_norms.tobytes()

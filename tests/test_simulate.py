@@ -8,8 +8,22 @@ import featservo.simulate as simulate
 
 from featservo.control import ControlConfig, stack_interaction
 from featservo.errors import TooFewCorrespondences, TooFewVisibleLandmarks
-from featservo.features import SyntheticDetectorConfig, synthetic_detect
-from featservo.geometry import Pose, compose, pixel_to_normalized, pose_error, se3_exp
+from featservo.experiment import default_goal_poses
+from featservo.features import (
+    FeatureSet,
+    SyntheticDetectorConfig,
+    _in_frame,
+    _order_by_score,
+    synthetic_detect,
+)
+from featservo.geometry import (
+    Pose,
+    compose,
+    pixel_to_normalized,
+    pose_error,
+    project_many,
+    se3_exp,
+)
 from featservo.matching import RansacConfig, symmetric_transfer_error
 from featservo.simulate import (
     CycleRecord,
@@ -41,50 +55,48 @@ def offset_config(target_pose, xi, **kwargs):
     )
 
 
+TABLE = ("points", "descriptors", "ids", "scores", "sq_norms")  # a scene's per-row arrays
+
+
 class TestScene:
     def test_ids_unique_across_groups(self, box_scene):
-        all_ids = np.concatenate([box_scene.object_ids, box_scene.clutter_ids])
-        assert len(np.unique(all_ids)) == len(all_ids)
+        # row i is landmark i, object rows then the 100 clutter rows
+        n = box_scene.points.shape[0]
+        assert n == box_scene.n_object + 100
+        assert box_scene.ids.tobytes() == np.arange(n, dtype=np.int64).tobytes()
 
     def test_generation_deterministic(self):
         a, b = make_box_scene(seed=4), make_box_scene(seed=4)
-        assert np.array_equal(a.object_points, b.object_points)
-        assert np.array_equal(a.object_descriptors, b.object_descriptors)
-        assert not np.array_equal(a.object_points, make_box_scene(seed=5).object_points)
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.descriptors, b.descriptors)
+        assert not np.array_equal(a.points, make_box_scene(seed=5).points)
 
     def test_planar_scene_is_planar(self):
         scene = make_planar_scene(seed=2)
-        assert np.all(scene.object_points[:, 2] == 0.0)
+        assert np.all(scene.points[: scene.n_object, 2] == 0.0)
 
     def test_one_read_only_landmark_table(self, box_scene):
-        points, descriptors, ids = box_scene.current_view_landmarks()
-        # the same arrays on every call: nothing is stacked per cycle
-        again = box_scene.current_view_landmarks()
-        assert all(a is b for a, b in zip(again, (points, descriptors, ids)))
-        n = box_scene.n_object
-        assert np.array_equal(ids, np.arange(n + box_scene.n_clutter))
-        for table, obj, clutter in (
-            (points, box_scene.object_points, box_scene.clutter_points),
-            (descriptors, box_scene.object_descriptors, box_scene.clutter_descriptors),
-            (ids, box_scene.object_ids, box_scene.clutter_ids),
-        ):
-            assert obj.base is table and clutter.base is table
-            assert np.array_equal(table, np.concatenate([obj, clutter]))
-            assert not table.flags.writeable and not obj.flags.writeable
+        n = box_scene.points.shape[0]
+        assert box_scene.descriptors.shape == (n, 256)
+        for a in (box_scene.ids, box_scene.scores, box_scene.sq_norms):
+            assert a.shape == (n,)
+        for name in TABLE:
+            assert not getattr(box_scene, name).flags.writeable
 
     def test_without_clutter_shares_object_rows(self, box_scene):
         clean = box_scene.without_clutter()
-        points, descriptors, ids = clean.current_view_landmarks()
-        assert clean.n_clutter == 0 and clean.n_object == box_scene.n_object
-        assert np.shares_memory(points, box_scene.object_points)
-        assert np.shares_memory(descriptors, box_scene.object_descriptors)
-        assert np.array_equal(ids, box_scene.object_ids)
+        n = box_scene.n_object
+        assert clean.n_object == n and clean.points.shape[0] == n
+        for name in TABLE:
+            row, whole = getattr(clean, name), getattr(box_scene, name)
+            assert row.base is whole and np.shares_memory(row, whole)
+            assert row.tobytes() == whole[:n].tobytes() and not row.flags.writeable
         # the parent keeps its clutter, and a rebuilt scene has the same rows
-        assert box_scene.n_clutter > 0
-        rebuilt = Scene(box_scene.object_points, np.zeros((0, 3)), box_scene.seed,
+        assert box_scene.points.shape[0] > n
+        rebuilt = Scene(box_scene.points[:n], np.zeros((0, 3)), box_scene.seed,
                         box_scene.object_normals, box_scene.max_incidence_deg)
-        for a, b in zip(clean.current_view_landmarks(), rebuilt.current_view_landmarks()):
-            assert a.tobytes() == b.tobytes()
+        for name in TABLE:
+            assert getattr(clean, name).tobytes() == getattr(rebuilt, name).tobytes()
 
 
 class TestRenderTarget:
@@ -104,8 +116,7 @@ class TestRenderTarget:
 
     def test_excludes_clutter(self, box_scene, intrinsics, target_pose):
         fs = render_target(box_scene, target_pose, intrinsics)
-        assert np.all(np.isin(fs.landmark_ids, box_scene.object_ids))
-        assert not np.any(np.isin(fs.landmark_ids, box_scene.clutter_ids))
+        assert np.all(fs.landmark_ids < box_scene.n_object)
 
     def test_consistent_with_noiseless_detector(self, box_scene, intrinsics, target_pose):
         fs = render_target(box_scene, target_pose, intrinsics)
@@ -118,6 +129,69 @@ class TestRenderTarget:
         looking_away = Pose(np.eye(3), (0.0, 0.0, 0.5))  # object behind camera
         with pytest.raises(TooFewVisibleLandmarks):
             render_target(box_scene, looking_away, intrinsics)
+
+
+def old_render_target(scene, target_pose, intrinsics):
+    """render_target as it was before it became the noise-free detector over
+    the object rows: its own visibility, ranking and row gathering."""
+    n = scene.n_object
+    points, ids = scene.points[:n], scene.ids[:n]
+    pixels, depths = project_many(target_pose.world_to_camera(points), intrinsics)
+    visible = (depths > 1e-9) & _in_frame(pixels, intrinsics)
+    visible &= scene.view_cone_mask(target_pose.translation)[:n]
+    idx = np.flatnonzero(visible)
+    if idx.size < 3:
+        raise TooFewVisibleLandmarks(f"only {idx.size} object landmarks visible from target pose")
+    scores = scene.scores[ids[idx]]
+    rank = _order_by_score(pixels[idx], scores)
+    rows, scores = idx[rank], scores[rank]
+    return FeatureSet._of_table_rows(
+        pixels[rows],
+        scene.descriptors[rows],
+        scene.sq_norms[rows],
+        scores,
+        (intrinsics.width, intrinsics.height),
+        depths[rows],
+        ids[rows],
+    )
+
+
+class TestRenderMatchesOldBody:
+    """render_target is the noise-free detector over the object rows; every
+    field of its output has the old body's dtype, shape and bytes."""
+
+    def assert_same(self, scene, pose, intrinsics):
+        new = render_target(scene, pose, intrinsics)
+        old = old_render_target(scene, pose, intrinsics)
+        assert new.image_size == old.image_size
+        for name in ("pixels", "descriptors", "scores", "depths", "landmark_ids", "sq_norms"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        return len(new)
+
+    def test_box_scene_from_goal_and_offset_poses(self, box_scene, intrinsics):
+        assert box_scene.object_normals is not None and box_scene.max_incidence_deg
+        rng = np.random.default_rng(7)
+        sizes = []
+        for goal in default_goal_poses(0.4, 3):
+            sizes.append(self.assert_same(box_scene, goal, intrinsics))
+            for _ in range(4):
+                xi = np.r_[rng.uniform(-0.05, 0.05, 3), rng.uniform(-0.3, 0.3, 3)]
+                sizes.append(self.assert_same(box_scene, compose(goal, se3_exp(xi)), intrinsics))
+        # the tilted views see side faces the straight-on view does not
+        assert min(sizes) >= 3 and len(set(sizes)) > 1
+
+    def test_planar_scene_of_400_landmarks(self, target_pose, intrinsics):
+        scene = make_planar_scene(seed=3, n_object=400)
+        assert self.assert_same(scene, target_pose, intrinsics) > 300
+
+    def test_same_error_when_too_few_are_visible(self, box_scene, intrinsics):
+        looking_away = Pose(np.eye(3), (0.0, 0.0, 0.5))
+        with pytest.raises(TooFewVisibleLandmarks) as old:
+            old_render_target(box_scene, looking_away, intrinsics)
+        with pytest.raises(TooFewVisibleLandmarks) as new:
+            render_target(box_scene, looking_away, intrinsics)
+        assert str(new.value) == str(old.value)
 
 
 class TestServoStep:
@@ -422,9 +496,9 @@ class TestControlCaches:
         records, targets = step_to_end(ServoLoop(box_scene, cfg))
         assert records[-1].mean_error < cfg.success_threshold
         assert all(r.event == "" for r in records)
-        changes = 1 + sum(a is not b for a, b in zip(targets, targets[1:]))
+        # L(s, Z) each cycle, and no L* rows of any target set
         assert len(pinv) == len(records)
-        assert len(stack) == len(records) + changes
+        assert len(stack) == len(records)
         for rec, (_, R), target, (_, current) in zip(records, ransac, targets, currents):
             expected = self.from_scratch(cfg, R, target, current)
             np.testing.assert_allclose(rec.twist, expected, rtol=0, atol=1e-12)
@@ -465,7 +539,7 @@ class TestRunServo:
     def test_target_purity_throughout_run(self, box_scene, target_pose):
         cfg = offset_config(target_pose, [0.01, -0.005, 0.01, 0.02, 0, 0])
         trace = run_servo(box_scene, cfg)
-        clutter = set(int(i) for i in box_scene.clutter_ids)
+        clutter = set(box_scene.ids[box_scene.n_object:].tolist())
         for rec in trace.records:
             assert not (set(rec.inlier_target_ids) & clutter)
             if rec.event == "":
