@@ -42,12 +42,13 @@ def _rot_z(a):
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
 
 
-def camera_pose_looking_at(position, target_point, up=(0.0, 1.0, 0.0)) -> Pose:
-    """Camera pose at `position` with the optical axis through `target_point`."""
+def camera_pose_looking_at(position, target_point) -> Pose:
+    """Camera pose at `position` with the optical axis through `target_point`
+    and the image x axis perpendicular to +y."""
     p = np.asarray(position, dtype=float)
     z = np.asarray(target_point, dtype=float) - p
     z /= np.linalg.norm(z)
-    x = np.cross(np.asarray(up, dtype=float), z)
+    x = np.cross((0.0, 1.0, 0.0), z)
     if np.linalg.norm(x) < 1e-9:
         x = np.cross((1.0, 0.0, 0.0), z)
     x /= np.linalg.norm(x)
@@ -403,10 +404,12 @@ def load_config(path, seed: int | None = None) -> dict:
     # build what run, accuracy and batch build, so check rejects what they would
     try:
         build_run_config(cfg)
-        batch_specs(cfg)
+        # the offsets batch's trials draw, from its rotation bounds
+        bounds = batch_specs(cfg)[0].rotation_bounds_deg
+        sample_offset_pose(np.random.default_rng(0), (0.0, 0.0), bounds)
         default_goal_poses(cfg["run"]["camera_distance"], cfg["accuracy"]["goals"])
         default_start_offsets(cfg)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
     return cfg
 
@@ -474,61 +477,29 @@ def batch_specs(cfg: dict) -> list[BatchSpec]:
 
 
 def build_scene(cfg: dict, seed_offset: int = 0) -> Scene:
-    sc = cfg["scene"]
-    return make_box_scene(
-        seed=cfg["seed"] + seed_offset,
-        n_object=sc["n_object"],
-        n_clutter=sc["n_clutter"],
-        box_size=sc["box_size"],
-        clutter_shell=tuple(sc["clutter_shell"]),
-        view_cone_deg=sc["view_cone_deg"],
-        descriptor_dim=sc["descriptor_dim"],
-    )
+    scene = {**cfg["scene"], "clutter_shell": tuple(cfg["scene"]["clutter_shell"])}
+    return make_box_scene(seed=cfg["seed"] + seed_offset, **scene)
 
 
 def build_run_config(cfg: dict) -> ServoRunConfig:
-    cam = cfg["camera"]
-    intrinsics = CameraIntrinsics(
-        fx=cam["fx"], fy=cam["fy"], cx=cam["cx"], cy=cam["cy"],
-        width=cam["width"], height=cam["height"],
-    )
-    ctrl = cfg["control"]
-    servo = cfg["servo"]
-    det = cfg["detector"]
-    rs = cfg["ransac"]
-    target = Pose(np.eye(3), (0.0, 0.0, -cfg["run"]["camera_distance"]))
+    """The run settings: each config table's keys are the keyword arguments
+    of the object built from it."""
+    intrinsics = CameraIntrinsics(**cfg["camera"])
+    run = cfg["run"]
+    target = Pose(np.eye(3), (0.0, 0.0, -run["camera_distance"]))
     rng = np.random.default_rng([cfg["seed"], 0x0FF])
-    offset = sample_offset_pose(
-        rng,
-        (0.0, cfg["run"]["offset_cm"] / 100.0),
-        cfg["run"]["rotation_deg"],
-    )
+    offset = sample_offset_pose(rng, (0.0, run["offset_cm"] / 100.0), run["rotation_deg"])
+    ctrl = cfg["control"]
+    if ctrl["max_twist"] is not None:
+        ctrl = {**ctrl, "max_twist": tuple(ctrl["max_twist"])}
     return ServoRunConfig(
         target_pose=target,
         initial_pose=compose(target, offset),
         intrinsics=intrinsics,
-        control=ControlConfig(
-            gain=ctrl["gain"],
-            svd_tolerance=ctrl["svd_tolerance"],
-            max_twist=None if ctrl["max_twist"] is None else tuple(ctrl["max_twist"]),
-        ),
-        ransac=RansacConfig(
-            inlier_threshold=rs["inlier_threshold"],
-            max_iterations=rs["max_iterations"],
-            confidence=rs["confidence"],
-            seed=cfg["seed"],
-        ),
-        detector=SyntheticDetectorConfig(
-            descriptor_noise_sigma=det["descriptor_noise_sigma"],
-            detection_dropout=det["detection_dropout"],
-            pixel_noise_sigma=det["pixel_noise_sigma"],
-            seed=cfg["seed"],
-        ),
-        dt=servo["dt"],
-        tracking_threshold=servo["tracking_threshold"],
-        success_threshold=servo["success_threshold"],
-        max_cycles=servo["max_cycles"],
-        top_k=servo["top_k"],
+        control=ControlConfig(**ctrl),
+        ransac=RansacConfig(**cfg["ransac"], seed=cfg["seed"]),
+        detector=SyntheticDetectorConfig(**cfg["detector"], seed=cfg["seed"]),
+        **cfg["servo"],
     )
 
 

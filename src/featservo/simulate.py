@@ -153,21 +153,14 @@ def make_box_scene(
     )
 
 
-def make_planar_scene(
-    seed: int,
-    n_object: int = 80,
-    n_clutter: int = 0,
-    extent: float = 0.12,
-    clutter_shell: tuple[float, float] = (0.15, 0.30),
-    descriptor_dim: int = 256,
-) -> Scene:
-    """Landmarks on the z = 0 plane: all views of the object are related by
-    an exact homography, so the consensus set stays stable across cycles."""
+def make_planar_scene(seed: int, n_object: int = 80) -> Scene:
+    """Landmarks uniform on a 12 cm square in the z = 0 plane, with no
+    clutter: all views of the object are related by an exact homography, so
+    the consensus set stays stable across cycles."""
     rng = np.random.default_rng([seed, 0xF1])
-    half = extent / 2.0
-    pts = rng.uniform(-half, half, size=(n_object, 3))
+    pts = rng.uniform(-0.06, 0.06, size=(n_object, 3))
     pts[:, 2] = 0.0
-    return Scene(pts, _clutter_shell(rng, n_clutter, clutter_shell), seed, None, None, descriptor_dim)
+    return Scene(pts, np.empty((0, 3)), seed)
 
 
 @dataclass(frozen=True)
@@ -335,16 +328,6 @@ class ServoLoop:
 
         pair_errors = np.linalg.norm(current_px - target_px, axis=1)
         mean_error = float(np.mean(pair_errors))
-        pair_id_match = None
-        inlier_ids = ()
-        if target.landmark_ids is not None:
-            inlier_ids = tuple(np.sort(target.landmark_ids[R.target_indices]).tolist())
-            if current.landmark_ids is not None:
-                pair_id_match = (
-                    current.landmark_ids[R.current_indices]
-                    == target.landmark_ids[R.target_indices]
-                )
-
         record = CycleRecord(
             cycle=self.cycle,
             pose=self.pose,
@@ -354,9 +337,11 @@ class ServoLoop:
             mean_error=mean_error,
             error_norm=float(np.linalg.norm(e)),
             tracking=tracking_flag,
-            inlier_target_ids=inlier_ids,
+            inlier_target_ids=tuple(np.sort(target.landmark_ids[R.target_indices]).tolist()),
             pair_errors=pair_errors,
-            pair_id_match=pair_id_match,
+            pair_id_match=(
+                current.landmark_ids[R.current_indices] == target.landmark_ids[R.target_indices]
+            ),
         )
 
         self.pose = integrate_twist(self.pose, twist, cfg.dt)

@@ -257,6 +257,46 @@ class TestConfig:
         starts = default_start_offsets(cfg)
         assert len(starts) == cfg["accuracy"]["starts"]
 
+    def test_every_table_key_reaches_its_field(self, tmp_path):
+        # every key of the tables that build objects, each away from its
+        # default, read back from the object its table builds
+        tables = {
+            "camera": {"fx": 500.0, "fy": 510.0, "cx": 150.0, "cy": 110.0,
+                       "width": 300, "height": 220},
+            "control": {"gain": 0.7, "svd_tolerance": 1e-9, "max_twist": [1, 2, 3, 4, 5, 6]},
+            "ransac": {"inlier_threshold": 3.0, "max_iterations": 500, "confidence": 0.99},
+            "detector": {"descriptor_noise_sigma": 0.01, "detection_dropout": 0.1,
+                         "pixel_noise_sigma": 0.5},
+            "servo": {"dt": 0.04, "tracking_threshold": 8.0, "success_threshold": 1.5,
+                      "max_cycles": 300, "top_k": 400},
+            "scene": {"n_object": 60, "n_clutter": 30, "box_size": 0.10,
+                      "clutter_shell": [0.20, 0.35], "view_cone_deg": 70.0,
+                      "descriptor_dim": 64},
+        }
+        defaults = load_config(self._write(tmp_path, {}))
+        for table, values in tables.items():
+            assert values.keys() == defaults[table].keys()
+            assert all(v != defaults[table][k] for k, v in values.items())
+        cfg = load_config(self._write(tmp_path, tables))
+
+        run_cfg = build_run_config(cfg)
+        built = {"camera": run_cfg.intrinsics, "control": run_cfg.control,
+                 "ransac": run_cfg.ransac, "detector": run_cfg.detector, "servo": run_cfg}
+        for table, obj in built.items():
+            for key, value in tables[table].items():
+                expected = tuple(value) if key == "max_twist" else value
+                assert getattr(obj, key) == expected, f"{table}.{key}"
+
+        scene = build_scene(cfg)
+        assert scene.n_object == 60
+        assert scene.points.shape[0] == 90
+        assert scene.descriptor_dim == scene.descriptors.shape[1] == 64
+        assert scene.max_incidence_deg == 70.0
+        assert np.abs(scene.points[:60]).max() == 0.10 / 2
+        radii = np.linalg.norm(scene.points[60:], axis=1)
+        assert 0.20 - 1e-12 <= radii.min() and radii.max() <= 0.35 + 1e-12
+        assert radii.max() > 0.30  # past the default outer radius
+
 
 def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
@@ -464,6 +504,16 @@ class TestCli:
             pytest.param({"servo": {"tracking_threshold": False}}, "run",
                          id="tracking_threshold-false"),
             pytest.param({"batch": {"bands_cm": [[0.0, True]]}}, "batch", id="band-true"),
+            # rotation bounds that no offset can be drawn from
+            pytest.param({"batch": {"rotation_deg": ["a", 5, 5]}}, "batch",
+                         id="batch-rotation-string"),
+            pytest.param({"batch": {"rotation_deg": [None, 5, 5]}}, "batch",
+                         id="batch-rotation-null"),
+            pytest.param({"run": {"rotation_deg": [1e308, 5, 5]}}, "run", id="run-rotation-1e308"),
+            pytest.param({"accuracy": {"rotation_deg": [1e308, 5, 5]}}, "accuracy",
+                         id="accuracy-rotation-1e308"),
+            pytest.param({"batch": {"rotation_deg": [1e308, 5, 5]}}, "batch",
+                         id="batch-rotation-1e308"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):
