@@ -292,6 +292,7 @@ def write_batch_csv(results, path) -> None:
 # ---------------------------------------------------------------------------
 
 CONFIG_SCHEMA = "featservo_config_v1"
+MAX_OFFSET_CM = 1e4  # run, accuracy and batch-band translation offsets past 100 m are errors
 
 _DEFAULT_CONFIG = {
     "schema": CONFIG_SCHEMA,
@@ -411,6 +412,10 @@ def load_config(path, seed: int | None = None) -> dict:
         default_start_offsets(cfg)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
+    bands = sum(cfg["batch"]["bands_cm"], [])
+    offsets = [cfg["run"]["offset_cm"], *cfg["accuracy"]["offset_cm"], *bands]
+    if not all(abs(x) <= MAX_OFFSET_CM for x in offsets):
+        raise ConfigError(f"translation offsets must be at most {MAX_OFFSET_CM:g} cm")
     return cfg
 
 

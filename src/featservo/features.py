@@ -131,7 +131,11 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class SyntheticDetectorConfig:
-    """Imperfection model for the oracle detector."""
+    """Imperfection model for the oracle detector. Descriptor noise is
+    zero-mean uniform, of per-component standard deviation
+    `descriptor_noise_sigma`: matching sees it through 256-term dot products,
+    near-Gaussian for any noise of that variance, and a float32 uniform draw
+    costs about a quarter of a Gaussian one."""
 
     descriptor_noise_sigma: float = 0.0
     detection_dropout: float = 0.0
@@ -212,7 +216,7 @@ def synthetic_detect(
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
     noise = None
     if cfg.descriptor_noise_sigma > 0:
-        noise = rng.standard_normal((n, scene.descriptors.shape[1]), dtype=np.float32)
+        noise = rng.random((n, scene.descriptors.shape[1]), dtype=np.float32)
 
     # keypoints pushed out of frame by noise are dropped, never clamped;
     # the rest are ranked highest confidence first, and each row of the
@@ -229,10 +233,11 @@ def synthetic_detect(
     desc = scene.descriptors[landmarks]
     sq_norms = scene.sq_norms[landmarks]
     if noise is not None:
-        # a sigma or noise past float32's range gives inf, then NaN rows,
-        # which fail FeatureSet's unit-norm check
+        # a sigma past float32's range gives an infinite scale, then NaN
+        # rows, which fail FeatureSet's unit-norm check
         with np.errstate(over="ignore", invalid="ignore"):
-            desc += noise[rows] * np.float32(cfg.descriptor_noise_sigma)
+            scale = np.float32(12**0.5 * cfg.descriptor_noise_sigma)
+            desc += (noise[rows] - np.float32(0.5)) * scale
             desc /= np.sqrt(_sq_norms(desc)).astype(np.float32)[:, None]
         sq_norms = None
     return FeatureSet._of_table_rows(

@@ -514,6 +514,11 @@ class TestCli:
                          id="accuracy-rotation-1e308"),
             pytest.param({"batch": {"rotation_deg": [1e308, 5, 5]}}, "batch",
                          id="batch-rotation-1e308"),
+            # translation offsets too large to servo from
+            pytest.param({"run": {"offset_cm": 1e308}}, "run", id="run-offset-1e308"),
+            pytest.param({"accuracy": {"offset_cm": [2, 1e308]}}, "accuracy",
+                         id="accuracy-offset-1e308"),
+            pytest.param({"batch": {"bands_cm": [[0, 1e308]]}}, "batch", id="band-1e308"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featservo import features
 from featservo.errors import InvalidFeatureSet
 from featservo.features import (
     FeatureSet,
@@ -221,12 +222,46 @@ class TestSyntheticDetect:
         fresh = synthetic_detect(scene, camera, intrinsics, cfg, np.random.default_rng(cfg.seed))
         assert np.array_equal(fresh.pixels, a.pixels)
 
+    def test_descriptor_noise_is_one_float32_uniform_draw(self, intrinsics):
+        # dropout over the visible rows, pixel noise over the kept rows, then
+        # one (n, d) float32 uniform draw: nothing else moves the generator
+        scene = make_box_scene(seed=9, n_clutter=30)
+        camera = Pose(np.eye(3), (0.01, 0.0, -0.4))
+        cfg = SyntheticDetectorConfig(
+            descriptor_noise_sigma=0.02, detection_dropout=0.1, pixel_noise_sigma=0.3
+        )
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        synthetic_detect(scene, camera, intrinsics, cfg, rng)
+        n = int(np.sum(ref.random(int(_visible(scene, camera, intrinsics)[2].sum())) >= 0.1))
+        ref.normal(0.0, 0.3, size=(n, 2))
+        ref.random((n, scene.descriptors.shape[1]), dtype=np.float32)
+        assert n > 0
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_descriptor_noise_moments(self, intrinsics, monkeypatch):
+        # with the renormalization made the identity, each row is its table
+        # row plus the noise: zero mean, variance sigma**2, within sqrt(3)*sigma
+        scene = make_box_scene(seed=10)
+        monkeypatch.setattr(features, "_sq_norms", lambda d: np.ones(len(d)))
+        camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
+        sigma = 0.5
+        cfg = SyntheticDetectorConfig(descriptor_noise_sigma=sigma)
+        rng, noise = np.random.default_rng(7), []
+        while sum(a.size for a in noise) < 200_000:
+            fs = synthetic_detect(scene, camera, intrinsics, cfg, rng)
+            noise.append(fs.descriptors - scene.descriptors[fs.landmark_ids])
+        noise = np.concatenate(noise).astype(np.float64).ravel()
+        assert abs(noise.mean()) < 0.01 * sigma
+        assert abs(noise.var() / sigma**2 - 1.0) < 0.01
+        assert np.all(np.abs(noise) <= np.sqrt(3.0) * sigma + 1e-6)
+        assert noise.max() > 0.99 * np.sqrt(3.0) * sigma  # uniform, so it reaches the bound
+
 
 def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
     """synthetic_detect as it was before it gathered each kept row once, with
     float32 descriptors: every visible row noised and normalized, then ranked
     and gathered. The generator is drawn in the same order: dropout, pixel
-    noise, float32 descriptor noise."""
+    noise, float32 uniform descriptor noise of variance sigma**2."""
     descriptors, ids = scene.descriptors, scene.ids
     pixels, depths, visible = _visible(scene, camera, intrinsics)
     idx = np.flatnonzero(visible)
@@ -238,8 +273,8 @@ def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
     desc = descriptors[idx]
     if cfg.descriptor_noise_sigma > 0:
-        noise = rng.standard_normal(desc.shape, dtype=np.float32)
-        desc = desc + noise * np.float32(cfg.descriptor_noise_sigma)
+        noise = rng.random(desc.shape, dtype=np.float32) - np.float32(0.5)
+        desc = desc + noise * np.float32(12**0.5 * cfg.descriptor_noise_sigma)
         norms = np.sqrt(np.sum(desc.astype(np.float64) ** 2, axis=1))
         desc = desc / norms.astype(np.float32)[:, None]
     inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))

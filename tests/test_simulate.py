@@ -435,34 +435,52 @@ class TestControlCaches:
             np.testing.assert_allclose(rec.twist, expected, rtol=0, atol=1e-12)
         assert len(pinv) < len(records) // 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_a_new_or_shrunk_lock_rebuilds_the_target_rows(
-        self, box_scene, target_pose, monkeypatch
+        self, seed, box_scene, target_pose, monkeypatch
     ):
         ransac = spy_ransac(monkeypatch)
         currents = spy(monkeypatch, "top_k")
         calls = spy(monkeypatch, "stack_interaction")
-        # detection dropout leaves rows of the lock unmatched, so it shrinks
-        cfg = noisy_box_config(target_pose, np.random.default_rng(0), 0)
+        # detection dropout leaves rows of the lock unmatched, so it shrinks;
+        # a lock that starves loses tracking, and the loop goes back to the
+        # full render (seeds 0 and 2 do, seed 1 keeps its lock)
+        cfg = noisy_box_config(target_pose, np.random.default_rng(seed), seed)
         cfg = replace(cfg, detector=replace(cfg.detector, detection_dropout=0.05))
-        records, targets = step_to_end(ServoLoop(box_scene, cfg))
+        loop = ServoLoop(box_scene, cfg)
+        records, targets = step_to_end(loop)
         assert records[-1].mean_error < cfg.success_threshold
-        assert all(r.event == "" for r in records)
+        solved = [R is not None for _, R in ransac]
+        assert solved == [r.event == "" for r in records]
         changes = [0] + [
             i for i in range(1, len(targets)) if targets[i] is not targets[i - 1]
         ]
-        lengths = [len(targets[i]) for i in changes]
-        # the render, the lock, and at least one shrink of it
-        assert records[changes[1]].tracking and len(changes) >= 3
-        assert all(b < a for a, b in zip(lengths[1:], lengths[2:]))
-        assert len(calls) == len(changes)
-        for ((s_star, depths), _), i in zip(calls, changes):
+        locked = [targets[i] is not loop.target_full for i in changes]
+        # the render, the lock, and at least one shrink of it; a lock set
+        # while locked is strictly smaller
+        assert not locked[0] and locked[1]
+        shrinks = [
+            (len(targets[a]), len(targets[b]))
+            for a, b, la, lb in zip(changes, changes[1:], locked, locked[1:])
+            if la and lb
+        ]
+        assert shrinks and all(b < a for a, b in shrinks)
+        # one s* and L* build per target set, on its first solved cycle
+        firsts = []
+        for c, end in zip(changes, changes[1:] + [len(targets)]):
+            firsts += [i for i in range(c, end) if solved[i]][:1]
+        assert len(calls) == len(firsts)
+        for ((s_star, depths), _), i in zip(calls, firsts):
             target = targets[i]
             assert depths.tobytes() == target.depths.tobytes()
             expected = pixel_to_normalized(target.pixels, cfg.intrinsics).reshape(-1)
             assert s_star.reshape(-1).tobytes() == expected.tobytes()
+        # a starving lock's few pairs can command twists of tens of units,
+        # so the rounding bound is relative as well
         for rec, (_, R), target, (_, current) in zip(records, ransac, targets, currents):
-            expected = self.from_scratch(cfg, R, target, current)
-            np.testing.assert_allclose(rec.twist, expected, rtol=0, atol=1e-12)
+            if R is not None:
+                expected = self.from_scratch(cfg, R, target, current)
+                np.testing.assert_allclose(rec.twist, expected, rtol=1e-12, atol=1e-12)
 
     def test_a_new_target_set_with_the_same_rows_drops_the_pseudo_inverse(
         self, box_scene, target_pose, monkeypatch
