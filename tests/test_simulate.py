@@ -475,8 +475,8 @@ class TestControlCaches:
             assert depths.tobytes() == target.depths.tobytes()
             expected = pixel_to_normalized(target.pixels, cfg.intrinsics).reshape(-1)
             assert s_star.reshape(-1).tobytes() == expected.tobytes()
-        # a starving lock's few pairs can command twists of tens of units,
-        # so the rounding bound is relative as well
+        # a 4-pair consensus, under a starving lock or just after losing it,
+        # can command twists of tens of units: the rounding bound is relative too
         for rec, (_, R), target, (_, current) in zip(records, ransac, targets, currents):
             if R is not None:
                 expected = self.from_scratch(cfg, R, target, current)
