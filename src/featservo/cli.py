@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .experiment import (
     write_accuracy_csv,
     write_batch_csv,
 )
-from .simulate import render_target, run_servo, write_trace_csv, write_trace_summary
+from .simulate import render_target, run_servo, write_json, write_trace_csv, write_trace_summary
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,9 +87,7 @@ def _cmd_accuracy(args) -> int:
     records, _ = run_accuracy_suite(scenes, goals, starts, base, seed=cfg["seed"])
     write_accuracy_csv(records, out / "accuracy.csv")
     agg = aggregate_accuracy(records)
-    with open(out / "accuracy_summary.json", "w") as f:
-        json.dump({"schema": "featservo_accuracy_summary_v1", **agg}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / "accuracy_summary.json", {"schema": "featservo_accuracy_summary_v1", **agg})
     print(
         f"runs={agg['runs']} converged={agg['converged']} "
         f"AVG1={agg['mean_avg1_px']:.3f}px AVG2={agg['mean_avg2_px']:.3f}px"

@@ -292,7 +292,7 @@ def write_batch_csv(results, path) -> None:
 # ---------------------------------------------------------------------------
 
 CONFIG_SCHEMA = "featservo_config_v1"
-MAX_OFFSET_CM = 1e4  # run, accuracy and batch-band translation offsets past 100 m are errors
+MAX_OFFSET_CM = 1e4  # translation offsets and scene lengths past 100 m are errors
 
 _DEFAULT_CONFIG = {
     "schema": CONFIG_SCHEMA,
@@ -439,8 +439,8 @@ def _is_number(value) -> bool:
 
 
 def _check_scene_and_grid(cfg: dict) -> None:
-    """The scene table and the accuracy grid's counts, checked without
-    building the scenes."""
+    """The scene table, the camera distance and the accuracy grid's counts,
+    checked without building the scenes."""
     for table, key, low in (
         ("scene", "n_object", 0),
         ("scene", "n_clutter", 0),
@@ -462,6 +462,11 @@ def _check_scene_and_grid(cfg: dict) -> None:
         and 0 <= shell[0] <= shell[1]
     ):
         raise ConfigError("scene.clutter_shell must be [inner, outer] with 0 <= inner <= outer")
+    # lengths in m: past the offsets' bound the builders overflow or warn
+    limit = MAX_OFFSET_CM / 100.0
+    lengths = (sc["box_size"], shell[1], cfg["run"]["camera_distance"])
+    if not all(abs(x) <= limit for x in lengths if _is_number(x)):
+        raise ConfigError(f"box_size, clutter_shell and camera_distance must be at most {limit:g} m")
     if sc["view_cone_deg"] is not None and not _is_number(sc["view_cone_deg"]):
         raise ConfigError("scene.view_cone_deg must be a number or null")
 

@@ -379,8 +379,10 @@ def tracking_update(
     below `threshold`. `matched_target` must be the set the cycle's
     correspondences index into (the locked subset once locked), so a locked
     subset only shrinks. The lock keeps the rows in `matched_target`'s order,
-    so inliers that cover every row, in any order, give back `matched_target`
-    itself, and a set that stays locked stays the same object.
+    and inliers that cover every row, in any order, give back `matched_target`
+    itself: a set that stays locked stays the same object, so `match_nn`'s
+    reuse of the last match finds its target descriptors by identity instead
+    of comparing every row.
     """
     if locked is None and mean_error >= threshold:
         return None

@@ -230,7 +230,20 @@ class ServoLoop:
     def __init__(self, scene: Scene, cfg: ServoRunConfig):
         self.scene = scene
         self.cfg = cfg
-        self.target_full = render_target(scene, cfg.target_pose, cfg.intrinsics)
+        self.target_full = render = render_target(scene, cfg.target_pose, cfg.intrinsics)
+        # the target side of the control law is fixed for the run, as the
+        # render is: s* and the L* = L(s*, Z*) rows of each rendered landmark,
+        # indexed by landmark id (render ids are object rows); every matched
+        # target set is the render or a subset of it
+        s_star = pixel_to_normalized(render.pixels, cfg.intrinsics)
+        self._s_star = np.zeros((scene.n_object, 2))
+        self._s_star[render.landmark_ids] = s_star
+        self._L_star = None  # L(s, Z) instead, built every cycle
+        if not cfg.use_current_interaction:
+            L_star = stack_interaction(s_star, render.depths).reshape(-1, 2, 6)
+            self._L_star = np.zeros((scene.n_object, 2, 6))
+            self._L_star[render.landmark_ids] = L_star
+        self._pinv: tuple | None = None  # (inlier ids in pair order, pinv of their L* rows)
         self.pose = cfg.initial_pose
         self.cycle = 0
         self.locked: FeatureSet | None = None  # tracking lock, see tracking_update
@@ -246,24 +259,6 @@ class ServoLoop:
         # rho*H + (1 - rho)*H[2,2]*I; None on cycle 1 and after a failed cycle
         self._decay = 1.0 - cfg.control.gain * cfg.dt
         self._prior: np.ndarray | None = None
-        # the target side of the control law is fixed while the matched target
-        # set is: s* and the L* = L(s*, Z*) rows of the whole set, recomputed
-        # only when the set changes (the render, a lock, a shrinking lock), and
-        # pinv(L*) of the last gathered rows, reused while those rows repeat
-        self._desired: tuple | None = None  # (target set, s* (m, 2), L* (m, 2, 6) or None)
-        self._pinv: tuple | None = None  # (target rows, pinv of their L* rows)
-
-    def _desired_side(self, target: FeatureSet) -> tuple[np.ndarray, np.ndarray | None]:
-        """s* (m, 2) and the L* rows (m, 2, 6) of every row of `target`; no
-        L* rows (None) when the control law uses L(s, Z) instead."""
-        if self._desired is None or self._desired[0] is not target:
-            s_star = pixel_to_normalized(target.pixels, self.cfg.intrinsics)
-            L_star = None
-            if not self.cfg.use_current_interaction:
-                L_star = stack_interaction(s_star, target.depths).reshape(-1, 2, 6)
-            self._desired = (target, s_star, L_star)
-            self._pinv = None
-        return self._desired[1], self._desired[2]
 
     def step(self) -> CycleRecord:
         cfg = self.cfg
@@ -307,23 +302,23 @@ class ServoLoop:
             prior = self._decay * R.model + (1.0 - self._decay) * R.model[2, 2] * np.eye(3)
         self._prior = prior if np.isfinite(prior).all() else None
         current_px, target_px = R.current_pixels, R.target_pixels
+        ids = target.landmark_ids[R.target_indices]
         # the control law takes the pairs in ascending target-row order, so the
-        # gathered rows repeat whenever the inlier set does, in whatever order
-        # matching put its pairs
+        # ids repeat whenever the inlier set does, in whatever order matching
+        # put its pairs
         order = np.argsort(R.target_indices)
-        rows = R.target_indices[order]
-        s_star_rows, L_star_rows = self._desired_side(target)
+        pair_ids = ids[order]
         s = pixel_to_normalized(current_px[order], cfg.intrinsics).reshape(-1)
-        e = s - s_star_rows[rows].reshape(-1)
+        e = s - self._s_star[pair_ids].reshape(-1)
         tol = cfg.control.svd_tolerance
         if cfg.use_current_interaction:
             Z = current.depths[R.current_indices[order]]
             L_pinv = pseudo_inverse(stack_interaction(s, Z), tol)
-        elif self._pinv is not None and np.array_equal(self._pinv[0], rows):
+        elif self._pinv is not None and np.array_equal(self._pinv[0], pair_ids):
             L_pinv = self._pinv[1]
         else:
-            L_pinv = pseudo_inverse(L_star_rows[rows].reshape(-1, 6), tol)
-            self._pinv = (rows, L_pinv)
+            L_pinv = pseudo_inverse(self._L_star[pair_ids].reshape(-1, 6), tol)
+            self._pinv = (pair_ids, L_pinv)
         twist = control_law(e, L_pinv, cfg.control)
 
         pair_errors = np.linalg.norm(current_px - target_px, axis=1)
@@ -337,11 +332,9 @@ class ServoLoop:
             mean_error=mean_error,
             error_norm=float(np.linalg.norm(e)),
             tracking=tracking_flag,
-            inlier_target_ids=tuple(np.sort(target.landmark_ids[R.target_indices]).tolist()),
+            inlier_target_ids=tuple(np.sort(ids).tolist()),
             pair_errors=pair_errors,
-            pair_id_match=(
-                current.landmark_ids[R.current_indices] == target.landmark_ids[R.target_indices]
-            ),
+            pair_id_match=current.landmark_ids[R.current_indices] == ids,
         )
 
         self.pose = integrate_twist(self.pose, twist, cfg.dt)
@@ -389,6 +382,13 @@ def write_csv(path, schema: str, columns, rows) -> None:
             f.write(",".join([cell(row) for _, cell in columns]) + "\n")
 
 
+def write_json(path, payload) -> None:
+    """Indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 # trace.csv columns in order; the profile CSVs reuse some of them
 TRACE_COLUMNS = (
     ("cycle", lambda r: str(r.cycle)),
@@ -415,7 +415,7 @@ def write_trace_csv(trace: ServoTrace, path) -> None:
 
 
 def write_trace_summary(trace: ServoTrace, path) -> None:
-    summary = {
+    write_json(path, {
         "schema": "featservo_trace_summary_v1",
         "status": trace.status,
         "cycles": len(trace),
@@ -425,7 +425,4 @@ def write_trace_summary(trace: ServoTrace, path) -> None:
         "events": [
             {"cycle": r.cycle, "event": r.event} for r in trace.records if r.event
         ],
-    }
-    with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })

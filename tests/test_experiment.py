@@ -519,6 +519,11 @@ class TestCli:
             pytest.param({"accuracy": {"offset_cm": [2, 1e308]}}, "accuracy",
                          id="accuracy-offset-1e308"),
             pytest.param({"batch": {"bands_cm": [[0, 1e308]]}}, "batch", id="band-1e308"),
+            # scene and camera lengths past 100 m
+            pytest.param({"scene": {"clutter_shell": [0.15, 1e103]}}, "batch", id="shell-1e103"),
+            pytest.param({"scene": {"box_size": 1e200}}, "run", id="box_size-1e200"),
+            pytest.param({"run": {"camera_distance": 1e200}}, "accuracy",
+                         id="camera_distance-1e200"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):
