@@ -378,11 +378,9 @@ def tracking_update(
     Matching locks onto the inlier targets once the mean error first drops
     below `threshold`. `matched_target` must be the set the cycle's
     correspondences index into (the locked subset once locked), so a locked
-    subset only shrinks. The lock keeps the rows in `matched_target`'s order,
-    and inliers that cover every row, in any order, give back `matched_target`
-    itself: a set that stays locked stays the same object, so `match_nn`'s
-    reuse of the last match finds its target descriptors by identity instead
-    of comparing every row.
+    subset only shrinks and keeps its rows in `matched_target`'s order.
+    Inliers that cover every row, in any order, give back `matched_target`
+    itself, so match_nn's reuse of the last match knows the lock by identity.
     """
     if locked is None and mean_error >= threshold:
         return None
