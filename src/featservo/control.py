@@ -25,10 +25,11 @@ class ControlConfig:
     max_twist: tuple | None = None  # per-component saturation, length 6
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
-        if self.svd_tolerance < 0:
-            raise ValueError("svd_tolerance must be non-negative")
+        # checks in positive form, so NaN (every comparison false) fails them
+        if not 0 < self.gain < np.inf:
+            raise ValueError("gain must be positive and finite")
+        if not 0 <= self.svd_tolerance < np.inf:
+            raise ValueError("svd_tolerance must be non-negative and finite")
         if self.max_twist is not None and not (
             len(self.max_twist) == 6 and all(isinstance(v, (int, float)) for v in self.max_twist)
         ):

@@ -41,24 +41,6 @@ class FeatureSet:
     )
 
     def __init__(self, pixels, descriptors, scores, image_size, depths=None, landmark_ids=None):
-        self._check(pixels, descriptors, scores, image_size, depths, landmark_ids, None)
-
-    @classmethod
-    def _of_table_rows(
-        cls, pixels, descriptors, sq_norms, scores, image_size, depths, landmark_ids
-    ):
-        """A set of descriptor rows gathered from a table whose rows were
-        checked unit-norm when it was built, with their float32 squared norms
-        gathered from the same table; with `sq_norms` None (rows changed since)
-        the norms are computed and checked. Every other check runs as in the
-        constructor."""
-        out = cls.__new__(cls)
-        out._check(pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms)
-        return out
-
-    def _check(self, pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms):
-        """Check and store the arrays; the descriptors' norms are computed and
-        checked unless their float32 squared norms `sq_norms` are given."""
         pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
         with np.errstate(over="ignore"):  # values past float32's range fail the unit-norm check
             descriptors = np.atleast_2d(np.asarray(descriptors, dtype=np.float32))
@@ -75,8 +57,7 @@ class FeatureSet:
                 raise InvalidFeatureSet("keypoint pixel outside image bounds")
             if not np.all((scores >= 0) & (scores <= 1)):
                 raise InvalidFeatureSet("scores must lie in [0, 1]")
-        if sq_norms is None:
-            sq_norms = _unit_sq_norms(descriptors)
+        sq_norms = _unit_sq_norms(descriptors)
         if depths is not None:
             depths = np.asarray(depths, dtype=float).reshape(-1)
             if depths.size != n:
@@ -92,8 +73,9 @@ class FeatureSet:
         )
 
     def _freeze(self, pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms):
-        """Store already-checked arrays, read-only. `sq_norms` are the
-        descriptors' squared norms as float32, shared with matching."""
+        """Store already-checked arrays, read-only, and return the set.
+        `sq_norms` are the descriptors' squared norms as float32, shared with
+        matching."""
         self.pixels = pixels
         self.descriptors = descriptors
         self.scores = scores
@@ -104,6 +86,7 @@ class FeatureSet:
         for a in (pixels, descriptors, scores, depths, landmark_ids, sq_norms):
             if a is not None:
                 a.setflags(write=False)
+        return self
 
     def __len__(self) -> int:
         return self.scores.size
@@ -116,8 +99,7 @@ class FeatureSet:
             idx = indices
         else:
             idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        out = FeatureSet.__new__(FeatureSet)
-        out._freeze(
+        return FeatureSet.__new__(FeatureSet)._freeze(
             self.pixels[idx],
             self.descriptors[idx],
             self.scores[idx],
@@ -126,7 +108,6 @@ class FeatureSet:
             None if self.landmark_ids is None else self.landmark_ids[idx],
             self.sq_norms[idx],
         )
-        return out
 
 
 @dataclass(frozen=True)
@@ -143,8 +124,9 @@ class SyntheticDetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.descriptor_noise_sigma < 0 or self.pixel_noise_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        # checks in positive form, so NaN (every comparison false) fails them
+        if not (0 <= self.descriptor_noise_sigma < np.inf and 0 <= self.pixel_noise_sigma < np.inf):
+            raise ValueError("noise sigmas must be non-negative and finite")
         if not 0.0 <= self.detection_dropout <= 1.0:
             raise ValueError("dropout must be a probability")
 
@@ -226,23 +208,28 @@ def synthetic_detect(
     rank = _order_by_score(noisy_pixels[inb], scores)
     rows = inb[rank]
     landmarks = idx[rows]
-    # without noise the table's unit float32 rows and their squared norms,
-    # checked when the scene was built, are kept as they are. Noise and
-    # normalization act row by row, so each kept row gets the bytes it would
-    # get if every row were noised and normalized first
+    # each property of the set is checked once, where it is established: the
+    # in-frame filter is the pixel check, `_visible`'s depth > 1e-9 the depth
+    # positivity check, and the scene checked its scores in [0, 1] and its
+    # unit rows when it was built. An infinite depth still projects in frame
+    depths = depths[landmarks]
+    if not np.all(depths < np.inf):
+        raise InvalidFeatureSet("depths must be positive and finite")
     desc = scene.descriptors[landmarks]
     sq_norms = scene.sq_norms[landmarks]
     if noise is not None:
-        # a sigma past float32's range gives an infinite scale, then NaN
-        # rows, which fail FeatureSet's unit-norm check
+        # noise and normalization act row by row, so each kept row gets the
+        # bytes it would get if every row were noised and normalized first.
+        # A sigma past float32's range gives an infinite scale, then NaN
+        # rows, which fail the unit-norm check
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.float32(12**0.5 * cfg.descriptor_noise_sigma)
             desc += (noise[rows] - np.float32(0.5)) * scale
             desc /= np.sqrt(_sq_norms(desc)).astype(np.float32)[:, None]
-        sq_norms = None
-    return FeatureSet._of_table_rows(
-        noisy_pixels[rows], desc, sq_norms, scores[rank], (intrinsics.width, intrinsics.height),
-        depths[landmarks], scene.ids[landmarks],
+        sq_norms = _unit_sq_norms(desc)
+    return FeatureSet.__new__(FeatureSet)._freeze(
+        noisy_pixels[rows], desc, scores[rank], (intrinsics.width, intrinsics.height),
+        depths, scene.ids[landmarks], sq_norms,
     )
 
 

@@ -27,8 +27,9 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+        # checks in positive form, so NaN (every comparison false) fails them
+        if not 0 < self.inlier_threshold < np.inf:
+            raise ValueError("inlier_threshold must be positive and finite")
         if type(self.max_iterations) is not int or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer >= 1")
         if not 0.0 < self.confidence < 1.0:
@@ -354,6 +355,9 @@ def ransac_inliers(
 
     if best_mask is None or best_count < MIN_SAMPLE:
         raise TooFewCorrespondences("no non-degenerate consensus found")
+    if best_count == n:  # every pair holds: C's own arrays, not gathered again
+        return InlierSet(C.current_indices, C.target_indices, C.distances, src, dst,
+                         indices=np.arange(n), model=best_model)
     keep = np.flatnonzero(best_mask)
     return InlierSet(
         C.current_indices[keep],

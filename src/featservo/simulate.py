@@ -6,12 +6,13 @@ from a target rendered by `features.render_target`, and the trace outputs.
 from __future__ import annotations
 
 import json
+from math import isfinite
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import ControlConfig, control_law, pseudo_inverse, stack_interaction
-from .errors import TooFewCorrespondences
+from .errors import InvalidFeatureSet, TooFewCorrespondences
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
@@ -27,6 +28,7 @@ from .matching import RansacConfig, match_nn, ransac_inliers, tracking_update
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=160.0, cy=120.0, width=320, height=240)
 
 _INSUFFICIENT_LIMIT = 10  # consecutive starved cycles before giving up
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the 3x3 identity, row-major
 _TABLE = ("points", "descriptors", "ids", "scores", "sq_norms")  # Scene's per-row arrays
 
 
@@ -37,8 +39,9 @@ class Scene:
 
     Row i is landmark i: `points` (n, 3), float32 unit `descriptors` (n, d),
     `ids` (row i has id i), detection `scores` landmark_scores(seed, i), and
-    the descriptors' float32 squared norms `sq_norms`, checked unit-norm
-    once, here, for the feature sets gathered from the table. The first
+    the descriptors' float32 squared norms `sq_norms`. The scores are checked
+    in [0, 1] and the rows unit-norm once, here, so that the feature sets
+    the detector gathers from the table need no second check. The first
     `n_object` rows are the object. Canonical descriptors are drawn in
     float64 from the seed, normalized and stored as float32.
     """
@@ -72,7 +75,9 @@ class Scene:
         # float64, so the two never coexist
         self.descriptors = desc = desc.astype(np.float32)
         self.ids = np.arange(self.points.shape[0], dtype=np.int64)
-        self.scores = landmark_scores(self.seed, self.ids)
+        self.scores = scores = landmark_scores(self.seed, self.ids)
+        if not np.all((scores >= 0) & (scores <= 1)):  # NaN fails too
+            raise InvalidFeatureSet("scores must lie in [0, 1]")
         self.sq_norms = _unit_sq_norms(desc)
         for name in _TABLE:
             getattr(self, name).setflags(write=False)
@@ -179,12 +184,14 @@ class ServoRunConfig:
     use_current_interaction: bool = False  # diagnostic: true L(s, Z) each cycle
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not isinstance(self.tracking_threshold, (int, float)):
-            raise ValueError("tracking_threshold must be a number")
-        if self.success_threshold <= 0:
-            raise ValueError("success_threshold must be positive")
+        # checks in positive form, so NaN (every comparison false) fails them
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        t = self.tracking_threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not -np.inf < t < np.inf:
+            raise ValueError("tracking_threshold must be a finite number")
+        if not 0 < self.success_threshold < np.inf:
+            raise ValueError("success_threshold must be positive and finite")
         if type(self.max_cycles) is not int or self.max_cycles < 1:
             raise ValueError("max_cycles must be an integer >= 1")
         if type(self.top_k) is not int or self.top_k < 0:
@@ -298,9 +305,12 @@ class ServoLoop:
                 event=event,
             )
 
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge gain: no prior
-            prior = self._decay * R.model + (1.0 - self._decay) * R.model[2, 2] * np.eye(3)
-        self._prior = prior if np.isfinite(prior).all() else None
+        # in Python floats, entry by entry as numpy would compute it; a huge
+        # gain overflows to a non-finite entry: no prior
+        h, rho = R.model.ravel().tolist(), self._decay
+        c = (1.0 - rho) * h[8]
+        prior = [rho * v + c * e for v, e in zip(h, _EYE)]
+        self._prior = np.array(prior).reshape(3, 3) if all(map(isfinite, prior)) else None
         current_px, target_px = R.current_pixels, R.target_pixels
         ids = target.landmark_ids[R.target_indices]
         # the control law takes the pairs in ascending target-row order, so the

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featservo import features
+from featservo import features, simulate
 from featservo.errors import InvalidFeatureSet
 from featservo.features import (
     FeatureSet,
@@ -428,6 +428,64 @@ class TestFloat32Descriptors:
         assert not np.array_equal(first.pixels, second.pixels)
         C1 = match_nn(second, target, last=(first.descriptors, target.descriptors, C0))
         assert len(C0) > 0 and C1.distances is C0.distances
+
+
+_CONTRACT_SCENE = make_box_scene(seed=13, n_clutter=60)
+
+
+class TestDetectorOutputContract:
+    """synthetic_detect checks each property of its output once, where the
+    property is established, and builds its set without the constructor's
+    checks; whatever it returns passes them."""
+
+    @given(
+        xi=st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6),
+        dropout=st.floats(0.0, 1.0),
+        pixel_sigma=st.sampled_from([0.0, 0.3, 5.0, 200.0]),
+        descriptor_sigma=st.sampled_from([0.0, 0.02, 0.5, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_detection_passes_the_constructor(
+        self, xi, dropout, pixel_sigma, descriptor_sigma, seed
+    ):
+        intrinsics = CameraIntrinsics(600.0, 600.0, 160.0, 120.0, 320, 240)
+        offset = se3_exp(np.asarray(xi) * (0.2, 0.2, 0.2, 1.0, 1.0, 1.0))
+        camera = Pose(offset.rotation, offset.translation + (0.0, 0.0, -0.4))
+        cfg = SyntheticDetectorConfig(
+            descriptor_noise_sigma=descriptor_sigma, detection_dropout=dropout,
+            pixel_noise_sigma=pixel_sigma,
+        )
+        fs = synthetic_detect(_CONTRACT_SCENE, camera, intrinsics, cfg,
+                              np.random.default_rng(seed))
+        built = FeatureSet(fs.pixels, fs.descriptors, fs.scores, fs.image_size,
+                           depths=fs.depths, landmark_ids=fs.landmark_ids)
+        assert built.image_size == fs.image_size
+        for a, b in zip(TestFeatureSet._fields(fs), TestFeatureSet._fields(built)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert fs.sq_norms.dtype == np.float32
+        assert fs.sq_norms.tobytes() == built.sq_norms.tobytes()
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+    def test_scene_rejects_scores_outside_the_unit_interval(self, bad, monkeypatch):
+        def scores(seed, ids):
+            out = landmark_scores(seed, ids)
+            out[-1] = bad
+            return out
+
+        monkeypatch.setattr(simulate, "landmark_scores", scores)
+        with pytest.raises(InvalidFeatureSet, match="scores"):
+            make_box_scene(seed=1)
+
+    def test_infinite_depth_is_rejected(self, axis_scene, intrinsics, monkeypatch):
+        # a landmark at infinite depth projects onto the principal point, in
+        # frame, so only the depth check can reject it
+        monkeypatch.setattr(
+            features, "project_many", lambda p, k: (np.array([[k.cx, k.cy]]), np.array([np.inf]))
+        )
+        camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
+        with pytest.raises(InvalidFeatureSet, match="depths must be positive and finite"):
+            synthetic_detect(axis_scene, camera, intrinsics, SyntheticDetectorConfig())
 
 
 class TestTopK:

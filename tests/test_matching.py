@@ -569,6 +569,10 @@ class TestRansacPrior:
         R = ransac_inliers(C, RansacConfig(), rng=rng, prior=prior)
         assert R.model is prior
         assert np.array_equal(R.indices, np.arange(n)) and len(R) == n
+        # the pairs are C's own arrays, not gathered again
+        for field in ("current_indices", "target_indices", "distances",
+                      "current_pixels", "target_pixels"):
+            assert getattr(R, field) is getattr(C, field), field
         assert rng.bit_generator.state == state
         assert calls == {"hypotheses": 0, "refits": 0}
 

@@ -145,14 +145,13 @@ def old_render_target(scene, target_pose, intrinsics):
     scores = scene.scores[ids[idx]]
     rank = _order_by_score(pixels[idx], scores)
     rows, scores = idx[rank], scores[rank]
-    return FeatureSet._of_table_rows(
+    return FeatureSet(
         pixels[rows],
         scene.descriptors[rows],
-        scene.sq_norms[rows],
         scores,
         (intrinsics.width, intrinsics.height),
-        depths[rows],
-        ids[rows],
+        depths=depths[rows],
+        landmark_ids=ids[rows],
     )
 
 
@@ -192,6 +191,53 @@ class TestRenderMatchesOldBody:
         with pytest.raises(TooFewVisibleLandmarks) as new:
             render_target(box_scene, looking_away, intrinsics)
         assert str(new.value) == str(old.value)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestConfigValidation:
+    """Values that are not finite, or a bool where a number is meant, fail the
+    configs' checks at construction; the CLI rejects them earlier, while
+    parsing, but the API takes them as they are."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: RansacConfig(inlier_threshold=NAN), id="inlier_threshold-nan"),
+            pytest.param(lambda: RansacConfig(inlier_threshold=INF), id="inlier_threshold-inf"),
+            pytest.param(lambda: ControlConfig(gain=NAN), id="gain-nan"),
+            pytest.param(lambda: ControlConfig(gain=INF), id="gain-inf"),
+            pytest.param(lambda: ControlConfig(svd_tolerance=NAN), id="svd_tolerance-nan"),
+            pytest.param(lambda: ControlConfig(svd_tolerance=INF), id="svd_tolerance-inf"),
+            pytest.param(lambda: SyntheticDetectorConfig(descriptor_noise_sigma=NAN),
+                         id="descriptor_noise_sigma-nan"),
+            pytest.param(lambda: SyntheticDetectorConfig(descriptor_noise_sigma=INF),
+                         id="descriptor_noise_sigma-inf"),
+            pytest.param(lambda: SyntheticDetectorConfig(pixel_noise_sigma=NAN),
+                         id="pixel_noise_sigma-nan"),
+            pytest.param(lambda: SyntheticDetectorConfig(pixel_noise_sigma=INF),
+                         id="pixel_noise_sigma-inf"),
+            pytest.param(lambda: run_config(dt=NAN), id="dt-nan"),
+            pytest.param(lambda: run_config(dt=INF), id="dt-inf"),
+            pytest.param(lambda: run_config(success_threshold=NAN), id="success_threshold-nan"),
+            pytest.param(lambda: run_config(success_threshold=INF), id="success_threshold-inf"),
+            pytest.param(lambda: run_config(tracking_threshold=NAN),
+                         id="tracking_threshold-nan"),
+            pytest.param(lambda: run_config(tracking_threshold=-INF),
+                         id="tracking_threshold-minus-inf"),
+            pytest.param(lambda: run_config(tracking_threshold=True),
+                         id="tracking_threshold-true"),
+        ],
+    )
+    def test_rejected_at_construction(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
+def run_config(**kwargs):
+    pose = Pose(np.eye(3), (0.0, 0.0, -0.4))
+    return ServoRunConfig(target_pose=pose, initial_pose=pose, **kwargs)
 
 
 class TestServoStep:

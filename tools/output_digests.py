@@ -19,9 +19,12 @@ and prints one `<sha256>  <path relative to DIR>` line per output file.
 SRC is the source directory to import featservo from (default: this
 checkout's src/). To check that a change keeps every output byte for byte:
 
-    python3 tools/output_digests.py --src OLD/src --out /tmp/old > old.sha256
-    python3 tools/output_digests.py --out /tmp/new
-    (cd /tmp/new && sha256sum -c /abs/path/old.sha256)
+    python3 tools/output_digests.py --out DIR --against OLD/src
+
+writes the outputs of SRC under DIR/new and those of OLD/src under DIR/old,
+each in its own process, prints one `changed: <path>` line per file whose
+bytes differ or that only one side wrote, then the count, and exits 1 if
+any file changed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -90,20 +94,44 @@ def produce(out: Path) -> None:
             simulate.write_trace_csv(trace, root / "planar" / "trace.csv")
 
 
+def digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under root, keyed by its path relative to root."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in root.rglob("*") if p.is_file())
+    }
+
+
+def changed(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """Paths whose digests differ between two digest maps, or that only one has."""
+    return sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="new or empty directory for the outputs")
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="source directory holding the featservo package")
+    parser.add_argument("--against", help="older source directory to compare every output with")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
     out = Path(args.out)
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
+    if args.against:
+        # featservo is imported once per process, so each side runs in its own
+        for side, src in (("new", args.src), ("old", args.against)):
+            subprocess.run([sys.executable, __file__, "--src", src, "--out", str(out / side)],
+                           check=True, stdout=subprocess.DEVNULL)
+        old, new = digests(out / "old"), digests(out / "new")
+        paths = changed(old, new)
+        for path in paths:
+            print(f"changed: {path}")
+        print(f"{len(paths)} of {len(old.keys() | new.keys())} files changed")
+        return 1 if paths else 0
+    sys.path.insert(0, str(Path(args.src).resolve()))
     produce(out)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    for path, digest in digests(out).items():
+        print(f"{digest}  {path}")
     return 0
 
 
