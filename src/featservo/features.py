@@ -113,10 +113,11 @@ class FeatureSet:
 @dataclass(frozen=True)
 class SyntheticDetectorConfig:
     """Imperfection model for the oracle detector. Descriptor noise is
-    zero-mean uniform, of per-component standard deviation
-    `descriptor_noise_sigma`: matching sees it through 256-term dot products,
-    near-Gaussian for any noise of that variance, and a float32 uniform draw
-    costs about a quarter of a Gaussian one."""
+    zero-mean, of per-component standard deviation `descriptor_noise_sigma`,
+    uniform over 256 levels: one raw generator byte per component, within
+    1.7254 sigma. Matching sees it through 256-term dot products,
+    near-Gaussian for any noise of that variance, and a byte costs an eighth
+    of a generator word."""
 
     descriptor_noise_sigma: float = 0.0
     detection_dropout: float = 0.0
@@ -196,10 +197,6 @@ def synthetic_detect(
     noisy_pixels = pixels[idx]
     if cfg.pixel_noise_sigma > 0:
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
-    noise = None
-    if cfg.descriptor_noise_sigma > 0:
-        noise = rng.random((n, scene.descriptors.shape[1]), dtype=np.float32)
-
     # keypoints pushed out of frame by noise are dropped, never clamped;
     # the rest are ranked highest confidence first, and each row of the
     # table is gathered once, in that order
@@ -217,14 +214,16 @@ def synthetic_detect(
         raise InvalidFeatureSet("depths must be positive and finite")
     desc = scene.descriptors[landmarks]
     sq_norms = scene.sq_norms[landmarks]
-    if noise is not None:
-        # noise and normalization act row by row, so each kept row gets the
-        # bytes it would get if every row were noised and normalized first.
-        # A sigma past float32's range gives an infinite scale, then NaN
+    if cfg.descriptor_noise_sigma > 0:
+        # one generator byte per component, rows in returned order: byte b
+        # adds (b - 127.5)*delta, zero-mean with variance sigma**2 exactly.
+        # A sigma past float32's range gives an infinite delta, then NaN
         # rows, which fail the unit-norm check
+        m, d = desc.shape
+        noise = rng.bit_generator.random_raw(-(-m * d // 8)).view(np.uint8)[: m * d]
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.float32(12**0.5 * cfg.descriptor_noise_sigma)
-            desc += (noise[rows] - np.float32(0.5)) * scale
+            delta = np.float32(cfg.descriptor_noise_sigma * (12 / (256**2 - 1)) ** 0.5)
+            desc += (noise.reshape(m, d) - np.float32(127.5)) * delta
             desc /= np.sqrt(_sq_norms(desc)).astype(np.float32)[:, None]
         sq_norms = _unit_sq_norms(desc)
     return FeatureSet.__new__(FeatureSet)._freeze(

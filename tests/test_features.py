@@ -222,25 +222,30 @@ class TestSyntheticDetect:
         fresh = synthetic_detect(scene, camera, intrinsics, cfg, np.random.default_rng(cfg.seed))
         assert np.array_equal(fresh.pixels, a.pixels)
 
-    def test_descriptor_noise_is_one_float32_uniform_draw(self, intrinsics):
+    @pytest.mark.parametrize("d", [256, 5])
+    def test_descriptor_noise_is_one_raw_byte_draw(self, d, intrinsics):
         # dropout over the visible rows, pixel noise over the kept rows, then
-        # one (n, d) float32 uniform draw: nothing else moves the generator
-        scene = make_box_scene(seed=9, n_clutter=30)
+        # one byte per component of the m returned rows, ceil(m*d/8) raw
+        # generator words: nothing else moves the generator
+        scene = make_box_scene(seed=9, n_clutter=30, descriptor_dim=d)
         camera = Pose(np.eye(3), (0.01, 0.0, -0.4))
         cfg = SyntheticDetectorConfig(
-            descriptor_noise_sigma=0.02, detection_dropout=0.1, pixel_noise_sigma=0.3
+            descriptor_noise_sigma=0.02, detection_dropout=0.1, pixel_noise_sigma=40.0
         )
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        synthetic_detect(scene, camera, intrinsics, cfg, rng)
+        fs = synthetic_detect(scene, camera, intrinsics, cfg, rng)
         n = int(np.sum(ref.random(int(_visible(scene, camera, intrinsics)[2].sum())) >= 0.1))
-        ref.normal(0.0, 0.3, size=(n, 2))
-        ref.random((n, scene.descriptors.shape[1]), dtype=np.float32)
-        assert n > 0
+        ref.normal(0.0, 40.0, size=(n, 2))
+        m = len(fs)
+        ref.bit_generator.random_raw(-(-m * d // 8))
+        assert 0 < m < n  # the pixel noise pushed rows out of frame
+        assert d == 256 or (m * d) % 8 != 0  # at d = 5 the last word is part used
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_descriptor_noise_moments(self, intrinsics, monkeypatch):
         # with the renormalization made the identity, each row is its table
         # row plus the noise: zero mean, variance sigma**2, within sqrt(3)*sigma
+        # (the byte levels reach 127.5*sigma*sqrt(12/65535) = 1.7254*sigma)
         scene = make_box_scene(seed=10)
         monkeypatch.setattr(features, "_sq_norms", lambda d: np.ones(len(d)))
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
@@ -261,7 +266,8 @@ def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
     """synthetic_detect as it was before it gathered each kept row once, with
     float32 descriptors: every visible row noised and normalized, then ranked
     and gathered. The generator is drawn in the same order: dropout, pixel
-    noise, float32 uniform descriptor noise of variance sigma**2."""
+    noise, then one byte per component of each returned row, in returned
+    order, for noise (byte - 127.5)*delta of variance sigma**2."""
     descriptors, ids = scene.descriptors, scene.ids
     pixels, depths, visible = _visible(scene, camera, intrinsics)
     idx = np.flatnonzero(visible)
@@ -271,17 +277,21 @@ def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
     noisy_pixels = pixels[idx]
     if cfg.pixel_noise_sigma > 0:
         noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
-    desc = descriptors[idx]
-    if cfg.descriptor_noise_sigma > 0:
-        noise = rng.random(desc.shape, dtype=np.float32) - np.float32(0.5)
-        desc = desc + noise * np.float32(12**0.5 * cfg.descriptor_noise_sigma)
-        norms = np.sqrt(np.sum(desc.astype(np.float64) ** 2, axis=1))
-        desc = desc / norms.astype(np.float32)[:, None]
     inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
     kept_ids, kept_depths = ids[idx], depths[idx]
     scores = landmark_scores(scene.seed, kept_ids[inb])
     rank = _order_by_score(noisy_pixels[inb], scores)
     rows = inb[rank]
+    desc = descriptors[idx]
+    if cfg.descriptor_noise_sigma > 0:
+        m, d = rows.size, desc.shape[1]
+        draw = rng.bit_generator.random_raw((m * d + 7) // 8).view(np.uint8)[: m * d]
+        levels = np.zeros(desc.shape, dtype=np.uint8)  # rows not returned get level 0
+        levels[rows] = draw.reshape(m, d)
+        delta = np.float32(cfg.descriptor_noise_sigma * np.sqrt(12.0 / 65535.0))
+        desc = desc + (levels.astype(np.float32) - np.float32(127.5)) * delta
+        norms = np.sqrt(np.sum(desc.astype(np.float64) ** 2, axis=1))
+        desc = desc / norms.astype(np.float32)[:, None]
     return FeatureSet(
         noisy_pixels[rows], desc[rows], scores[rank], (intrinsics.width, intrinsics.height),
         depths=kept_depths[rows], landmark_ids=kept_ids[rows],
