@@ -31,9 +31,10 @@ class ControlConfig:
         if not 0 <= self.svd_tolerance < np.inf:
             raise ValueError("svd_tolerance must be non-negative and finite")
         if self.max_twist is not None and not (
-            len(self.max_twist) == 6 and all(isinstance(v, (int, float)) for v in self.max_twist)
+            len(self.max_twist) == 6
+            and all(isinstance(v, (int, float)) and -np.inf <= v <= np.inf for v in self.max_twist)
         ):
-            raise ValueError("max_twist must have 6 numeric components")
+            raise ValueError("max_twist must have 6 numeric components, none NaN")
 
 
 def stack_interaction(s: np.ndarray, depths: np.ndarray) -> np.ndarray:

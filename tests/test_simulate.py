@@ -196,10 +196,15 @@ class TestRenderMatchesOldBody:
 NAN, INF = float("nan"), float("inf")
 
 
+def run_config(**kwargs):
+    pose = Pose(np.eye(3), (0.0, 0.0, -0.4))
+    return ServoRunConfig(target_pose=pose, initial_pose=pose, **kwargs)
+
+
 class TestConfigValidation:
     """Values that are not finite, or a bool where a number is meant, fail the
-    configs' checks at construction; the CLI rejects them earlier, while
-    parsing, but the API takes them as they are."""
+    configs' checks at construction. The CLI rejects them while parsing;
+    these checks guard callers of the Python API."""
 
     @pytest.mark.parametrize(
         "build",
@@ -210,6 +215,7 @@ class TestConfigValidation:
             pytest.param(lambda: ControlConfig(gain=INF), id="gain-inf"),
             pytest.param(lambda: ControlConfig(svd_tolerance=NAN), id="svd_tolerance-nan"),
             pytest.param(lambda: ControlConfig(svd_tolerance=INF), id="svd_tolerance-inf"),
+            pytest.param(lambda: ControlConfig(max_twist=(1.0,) * 5 + (NAN,)), id="max_twist-nan"),
             pytest.param(lambda: SyntheticDetectorConfig(descriptor_noise_sigma=NAN),
                          id="descriptor_noise_sigma-nan"),
             pytest.param(lambda: SyntheticDetectorConfig(descriptor_noise_sigma=INF),
@@ -233,11 +239,6 @@ class TestConfigValidation:
     def test_rejected_at_construction(self, build):
         with pytest.raises(ValueError):
             build()
-
-
-def run_config(**kwargs):
-    pose = Pose(np.eye(3), (0.0, 0.0, -0.4))
-    return ServoRunConfig(target_pose=pose, initial_pose=pose, **kwargs)
 
 
 class TestServoStep:
