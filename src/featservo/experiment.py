@@ -17,6 +17,7 @@ from .geometry import CameraIntrinsics, Pose, compose
 from .matching import RansacConfig
 from .simulate import (
     _NUM,
+    MAX_LENGTH_M,
     TRACE_COLUMNS,
     Scene,
     ServoRunConfig,
@@ -63,6 +64,8 @@ def sample_offset_pose(
 ) -> Pose:
     """Random perturbation: direction uniform on the sphere, magnitude uniform
     in the band, per-axis rotation angles uniform within their bounds."""
+    if not all(abs(x) <= MAX_LENGTH_M for x in translation_band_m):  # NaN fails too
+        raise ValueError(f"translation_band_m must lie within {MAX_LENGTH_M:g} m")
     if len(rotation_bounds_deg) != 3:
         raise ValueError("rotation bounds need one angle per axis")
     direction = rng.normal(size=3)
@@ -170,10 +173,10 @@ class BatchSpec:
     def __post_init__(self):
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError("trials must be an integer >= 1")
-        prev_hi = 0.0
+        prev_hi, limit = 0.0, 100.0 * MAX_LENGTH_M
         for lo, hi in self.bands_cm:
-            if hi <= lo or lo < prev_hi:
-                raise ConfigError("bands must be non-overlapping and increasing")
+            if not prev_hi <= lo < hi <= limit:  # NaN fails too
+                raise ConfigError(f"bands must be increasing, disjoint and at most {limit:g} cm")
             prev_hi = hi
         if len(self.rotation_bounds_deg) != 3:
             raise ConfigError("rotation_bounds_deg needs one bound per axis")
@@ -292,7 +295,6 @@ def write_batch_csv(results, path) -> None:
 # ---------------------------------------------------------------------------
 
 CONFIG_SCHEMA = "featservo_config_v1"
-MAX_OFFSET_CM = 1e4  # translation offsets and scene lengths past 100 m are errors
 
 _DEFAULT_CONFIG = {
     "schema": CONFIG_SCHEMA,
@@ -371,9 +373,9 @@ def _float_sized_int(text: str) -> int:
 
 
 def load_config(path, seed: int | None = None) -> dict:
-    """Parse and validate the experiment config; unknown keys, non-finite
-    numbers (NaN, Infinity, 1e400) and integers too large for a float are
-    errors.
+    """Parse the experiment config and build what the commands build from
+    it; unknown keys, non-finite numbers (NaN, Infinity, 1e400), integers
+    too large for a float, and any value that a builder rejects are errors.
 
     `seed`, when given, replaces the config seed before validation.
     """
@@ -401,9 +403,14 @@ def load_config(path, seed: int | None = None) -> dict:
         raise ConfigError("seed must be an integer")
     if cfg["batch"]["clutter"] not in (True, False, "both"):
         raise ConfigError("batch.clutter must be true, false, or \"both\"")
-    _check_scene_and_grid(cfg)
-    # build what run, accuracy and batch build, so check rejects what they would
+    # no builder takes the accuracy grid's counts
+    for key in ("starts", "scenes"):
+        if type(cfg["accuracy"][key]) is not int or cfg["accuracy"][key] < 1:
+            raise ConfigError(f"accuracy.{key} must be an integer >= 1")
+    # build what run, accuracy and batch build, so check rejects what they
+    # would: each builder checks its own arguments
     try:
+        build_scene(cfg)
         build_run_config(cfg)
         # the offsets batch's trials draw, from its rotation bounds
         bounds = batch_specs(cfg)[0].rotation_bounds_deg
@@ -412,10 +419,6 @@ def load_config(path, seed: int | None = None) -> dict:
         default_start_offsets(cfg)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
-    bands = sum(cfg["batch"]["bands_cm"], [])
-    offsets = [cfg["run"]["offset_cm"], *cfg["accuracy"]["offset_cm"], *bands]
-    if not all(abs(x) <= MAX_OFFSET_CM for x in offsets):
-        raise ConfigError(f"translation offsets must be at most {MAX_OFFSET_CM:g} cm")
     return cfg
 
 
@@ -432,43 +435,6 @@ def _reject_booleans(value, where: str = "") -> None:
     elif isinstance(value, list):
         for i, item in enumerate(value):
             _reject_booleans(item, f"{where}[{i}]")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_scene_and_grid(cfg: dict) -> None:
-    """The scene table, the camera distance and the accuracy grid's counts,
-    checked without building the scenes."""
-    for table, key, low in (
-        ("scene", "n_object", 0),
-        ("scene", "n_clutter", 0),
-        ("scene", "descriptor_dim", 1),
-        ("accuracy", "starts", 1),
-        ("accuracy", "scenes", 1),
-    ):
-        value = cfg[table][key]
-        if type(value) is not int or value < low:
-            raise ConfigError(f"{table}.{key} must be an integer >= {low}")
-    sc = cfg["scene"]
-    if not (_is_number(sc["box_size"]) and sc["box_size"] > 0):
-        raise ConfigError("scene.box_size must be a positive number")
-    shell = sc["clutter_shell"]
-    if not (
-        isinstance(shell, list)
-        and len(shell) == 2
-        and all(map(_is_number, shell))
-        and 0 <= shell[0] <= shell[1]
-    ):
-        raise ConfigError("scene.clutter_shell must be [inner, outer] with 0 <= inner <= outer")
-    # lengths in m: past the offsets' bound the builders overflow or warn
-    limit = MAX_OFFSET_CM / 100.0
-    lengths = (sc["box_size"], shell[1], cfg["run"]["camera_distance"])
-    if not all(abs(x) <= limit for x in lengths if _is_number(x)):
-        raise ConfigError(f"box_size, clutter_shell and camera_distance must be at most {limit:g} m")
-    if sc["view_cone_deg"] is not None and not _is_number(sc["view_cone_deg"]):
-        raise ConfigError("scene.view_cone_deg must be a number or null")
 
 
 def batch_specs(cfg: dict) -> list[BatchSpec]:
@@ -496,7 +462,7 @@ def build_run_config(cfg: dict) -> ServoRunConfig:
     of the object built from it."""
     intrinsics = CameraIntrinsics(**cfg["camera"])
     run = cfg["run"]
-    target = Pose(np.eye(3), (0.0, 0.0, -run["camera_distance"]))
+    target = default_goal_poses(run["camera_distance"], 1)[0]
     rng = np.random.default_rng([cfg["seed"], 0x0FF])
     offset = sample_offset_pose(rng, (0.0, run["offset_cm"] / 100.0), run["rotation_deg"])
     ctrl = cfg["control"]
@@ -514,7 +480,10 @@ def build_run_config(cfg: dict) -> ServoRunConfig:
 
 
 def default_goal_poses(camera_distance: float, count: int = 2) -> list[Pose]:
-    """Goal cameras aimed at the object: straight-on, then slightly tilted."""
+    """Goal cameras aimed at the object: straight-on, then slightly tilted.
+    The camera distance is in m, in (0, `MAX_LENGTH_M`]."""
+    if not 0 < camera_distance <= MAX_LENGTH_M:  # NaN fails too
+        raise ValueError(f"camera_distance must be in (0, {MAX_LENGTH_M:g}] m")
     tilts = [(8.0, 0.05), (-6.0, -0.04)]
     if type(count) is not int or count not in range(1, len(tilts) + 2):
         raise ValueError(f"goals must be an integer from 1 to {len(tilts) + 1}")

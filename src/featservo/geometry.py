@@ -77,8 +77,9 @@ class CameraIntrinsics:
     def __post_init__(self):
         if type(self.width) is not int or type(self.height) is not int:
             raise ValueError("image width and height must be integers")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        # in positive form, so NaN fails it
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point outside image")
 

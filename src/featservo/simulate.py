@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from math import isfinite
+from numbers import Real
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,9 @@ DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=160.0, cy=120.0, wi
 _INSUFFICIENT_LIMIT = 10  # consecutive starved cycles before giving up
 _EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the 3x3 identity, row-major
 _TABLE = ("points", "descriptors", "ids", "scores", "sq_norms")  # Scene's per-row arrays
+# scene sizes, camera distances and translation offsets past 100 m are
+# errors: no view of the object is left there, and the builders overflow
+MAX_LENGTH_M = 100.0
 
 
 class Scene:
@@ -107,6 +111,11 @@ class Scene:
         return scene
 
 
+def _is_real(value) -> bool:
+    """A real number, NumPy's included, and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _clutter_shell(rng: np.random.Generator, n: int, shell: tuple[float, float]) -> np.ndarray:
     """n points uniform in volume between two spheres around the origin."""
     direction = rng.normal(size=(n, 3))
@@ -129,8 +138,26 @@ def make_box_scene(
 
     The face at z = -size/2 faces a camera placed on the -z axis; the two
     side faces only become visible from tilted viewpoints, which reproduces
-    features that exist in one image but not the other.
+    features that exist in one image but not the other. Lengths are in m,
+    at most `MAX_LENGTH_M`, and `view_cone_deg` is None or in (0, 180]; a bad
+    argument raises a ValueError that names it.
     """
+    # checks in positive form, so NaN (every comparison false) fails them
+    for name, value, low in (
+        ("n_object", n_object, 0),
+        ("n_clutter", n_clutter, 0),
+        ("descriptor_dim", descriptor_dim, 1),
+    ):
+        if type(value) is not int or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}")
+    if not (_is_real(box_size) and 0 < box_size <= MAX_LENGTH_M):
+        raise ValueError(f"box_size must be in (0, {MAX_LENGTH_M:g}] m")
+    shell, cone = clutter_shell, view_cone_deg
+    if not (len(shell) == 2 and all(map(_is_real, shell))
+            and 0 <= shell[0] <= shell[1] <= MAX_LENGTH_M):
+        raise ValueError(f"clutter_shell must be 0 <= inner <= outer <= {MAX_LENGTH_M:g} m")
+    if cone is not None and not (_is_real(cone) and 0 < cone <= 180):
+        raise ValueError("view_cone_deg must be None or in (0, 180]")
     rng = np.random.default_rng([seed, 0xB0])
     half = box_size / 2.0
     n_front = int(round(0.6 * n_object))

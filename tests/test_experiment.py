@@ -64,7 +64,41 @@ class TestPoseSampling:
         assert np.allclose(in_cam[:2], 0.0, atol=1e-12)
 
 
+def _box(**kwargs):
+    return make_box_scene(seed=0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda: _box(box_size=-0.12), "box_size", id="box_size-negative"),
+        pytest.param(lambda: _box(clutter_shell=(0.3, 0.1)), "clutter_shell", id="shell-reversed"),
+        pytest.param(lambda: _box(box_size=float("nan")), "box_size", id="box_size-nan"),
+        pytest.param(lambda: _box(view_cone_deg=float("nan")), "view_cone_deg", id="cone-nan"),
+        pytest.param(lambda: _box(view_cone_deg=200), "view_cone_deg", id="cone-200"),
+        pytest.param(lambda: _box(n_object=2.5), "n_object", id="n_object-2.5"),
+        pytest.param(lambda: _box(descriptor_dim=0), "descriptor_dim", id="descriptor_dim-0"),
+        pytest.param(lambda: _box(box_size=True), "box_size", id="box_size-true"),
+        pytest.param(
+            lambda: sample_offset_pose(np.random.default_rng(0), (0.0, 101.0), (1, 1, 1)),
+            "translation_band_m",
+            id="offset-band-101m",
+        ),
+        pytest.param(lambda: default_goal_poses(-0.4), "camera_distance", id="distance-negative"),
+        pytest.param(lambda: default_goal_poses(1e200), "camera_distance", id="distance-1e200"),
+    ],
+)
+def test_builder_rejects_bad_argument(build, field):
+    # each builder checks its own arguments, with no warning on the way
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 class TestBatchSpec:
+    def test_rejects_band_past_100_m(self):
+        with pytest.raises(ConfigError, match="bands"):
+            BatchSpec(bands_cm=((0.0, 1.5e4),), rotation_bounds_deg=(1, 1, 1))
+
     def test_rejects_overlapping_bands(self):
         with pytest.raises(ConfigError, match="bands"):
             BatchSpec(bands_cm=((0.0, 2.0), (1.0, 3.0)), rotation_bounds_deg=(1, 1, 1))
@@ -343,7 +377,8 @@ VALID_CONFIGS = st.fixed_dictionaries({}, optional={
     "scene": _table(
         n_object=st.integers(0, 400), n_clutter=st.integers(0, 400),
         box_size=_floats(0.01, 1.0), clutter_shell=_sorted_pair(0.0, 1.0),
-        view_cone_deg=st.none() | _floats(1.0, 90.0), descriptor_dim=st.integers(1, 512),
+        view_cone_deg=st.none() | st.floats(0.0, 180.0, exclude_min=True),
+        descriptor_dim=st.integers(1, 512),
     ),
     "detector": _table(
         descriptor_noise_sigma=_floats(0.0, 1.0), detection_dropout=_floats(0.0, 1.0),
@@ -524,6 +559,11 @@ class TestCli:
             pytest.param({"scene": {"box_size": 1e200}}, "run", id="box_size-1e200"),
             pytest.param({"run": {"camera_distance": 1e200}}, "accuracy",
                          id="camera_distance-1e200"),
+            # a camera on or behind the object, and view cones outside (0, 180]
+            pytest.param({"run": {"camera_distance": -0.4}}, "run", id="camera_distance-neg"),
+            pytest.param({"run": {"camera_distance": 0}}, "run", id="camera_distance-0"),
+            pytest.param({"scene": {"view_cone_deg": 0}}, "run", id="view_cone-0"),
+            pytest.param({"scene": {"view_cone_deg": 200}}, "batch", id="view_cone-200"),
         ],
     )
     def test_check_rejects_what_run_rejects(self, payload, command, tmp_path, capsys):

@@ -305,6 +305,11 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(-1.0, 600.0, 160.0, 120.0, 320, 240)
 
+    @pytest.mark.parametrize("fx, fy", [(np.nan, 600.0), (np.inf, 600.0), (600.0, np.nan)])
+    def test_rejects_non_finite_focal(self, fx, fy):
+        with pytest.raises(ValueError, match="focal"):
+            CameraIntrinsics(fx, fy, 160.0, 120.0, 320, 240)
+
     def test_rejects_principal_point_outside(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(600.0, 600.0, 400.0, 120.0, 320, 240)
