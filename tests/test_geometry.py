@@ -8,7 +8,6 @@ from featservo.geometry import (
     CameraIntrinsics,
     Pose,
     _as_rotation,
-    _reorthonormalize,
     compose,
     integrate_twist,
     inverse,
@@ -154,18 +153,20 @@ class TestIntegrateTwist:
         assert drift < 1e-9
         assert np.linalg.det(pose.rotation) == pytest.approx(1.0, abs=1e-9)
 
-    def test_equals_compose_then_reorthonormalize(self):
-        # the pose step as P o exp(dt v) through compose, then projected onto
-        # SO(3): integrate_twist takes the same float steps, bit for bit
+    def test_equals_the_svd_polar_factor_of_compose(self):
+        # the pose step as P o exp(dt v) through compose, its rotation then
+        # projected onto SO(3) by the SVD's polar factor U V^T: integrate_twist
+        # takes one Newton step of the polar decomposition instead, the same
+        # projection to rounding
         rng = np.random.default_rng(10)
         for _ in range(200):
             pose = random_pose(rng)
             v, dt = rng.normal(0.0, 1.0, 6), rng.uniform(0.001, 0.5)
             composed = compose(pose, se3_exp(dt * v))
-            expected = Pose(_reorthonormalize(composed.rotation), composed.translation)
+            U, _, Vt = np.linalg.svd(composed.rotation)
             got = integrate_twist(pose, v, dt)
-            assert got.rotation.tobytes() == expected.rotation.tobytes()
-            assert got.translation.tobytes() == expected.translation.tobytes()
+            np.testing.assert_allclose(got.rotation, U @ Vt, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.translation, composed.translation, rtol=0, atol=1e-15)
 
     def test_random_chained_steps_stay_orthonormal(self):
         rng = np.random.default_rng(11)

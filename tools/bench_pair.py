@@ -14,6 +14,11 @@ the change won, lost and tied. A run that exits non-zero or fails its
 checks is kept in `pairs` and counted under `failed_runs`, its pair is left
 out of the summary, and the script exits 1. Each side is named by its git
 revision, with `-dirty` when its tree has uncommitted changes.
+
+Right before each `bench/run.py` call the script times a fixed NumPy
+kernel in its own process and stores the median µs per call in that run's
+record as `host_kernel_us`: the host's speed phase when the run started,
+so a pair whose sides ran in different phases shows.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,9 +46,25 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def host_kernel_us(calls: int = 200) -> float:
+    """Median µs per call of a fixed single-threaded NumPy kernel (float32
+    row norms of a (76, 256) array and an argsort of 4096 values, inputs
+    fixed by seed 0), over `calls` calls: about 20 ms in all."""
+    rng = np.random.default_rng(0)
+    rows, keys = rng.random((76, 256), dtype=np.float32), rng.random(4096)
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        keys.argsort()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e6
+
+
 def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    host_us = host_kernel_us()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -48,7 +72,8 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "metrics": {}}
     metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
-    return {"exit": proc.returncode, "correct": bool(result.get("correct")), "metrics": metrics}
+    return {"exit": proc.returncode, "correct": bool(result.get("correct")), "metrics": metrics,
+            "host_kernel_us": host_us}
 
 
 def failed(run: dict) -> bool:

@@ -23,14 +23,18 @@ checkout's src/). To check that a change keeps every output byte for byte:
 
 writes the outputs of SRC under DIR/new and those of OLD/src under DIR/old,
 each in its own process, prints one `changed: <path>` line per file whose
-bytes differ or that only one side wrote, then the count, and exits 1 if
-any file changed.
+bytes differ or that only one side wrote, then the count. It then prints
+one `outcome:` line per run (its summary.json), accuracy.csv row or
+batch.csv row whose status or cycle count differs (for a batch row, its
+per-status trial counts), with the old and the new values, then the count
+of such lines. It exits 1 if any file changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -58,6 +62,8 @@ CONFIGS = {
         "batch": {"bands_cm": [[0, 1], [4, 8]], "trials": 2, "clutter": True},
     },
 }
+# batch.csv's per-status trial counts
+BATCH_STATUSES = ("converged", "max_cycles", "tracking_lost", "insufficient_features")
 # (output directory, command, config) in run order
 COMMANDS = (
     ("run", "run", "run"),
@@ -103,8 +109,43 @@ def digests(root: Path) -> dict[str, str]:
 
 
 def changed(old: dict[str, str], new: dict[str, str]) -> list[str]:
-    """Paths whose digests differ between two digest maps, or that only one has."""
+    """Keys whose values differ between two maps (of digests or outcomes), or
+    that only one has."""
     return sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
+
+
+def _csv_rows(path: Path) -> list[dict]:
+    """Rows of a featservo CSV: a '# schema' line, the header, then the rows."""
+    return list(csv.DictReader(path.read_text().splitlines()[1:]))
+
+
+def outcomes(root: Path) -> dict[str, str]:
+    """Status and cycle count of every run, accuracy row and batch row under
+    root, keyed by file path relative to root and row."""
+    found = {}
+    for path in sorted(root.rglob("*")):
+        rel = path.relative_to(root).as_posix()
+        if path.name == "summary.json":
+            summary = json.loads(path.read_text())
+            found[rel] = f"{summary['status']} {summary['cycles']}"
+        elif path.name == "accuracy.csv":
+            for r in _csv_rows(path):
+                key = f"{rel} scene {r['scene']} goal {r['goal']} start {r['start']}"
+                found[key] = f"{r['status']} {r['cycles']}"
+        elif path.name == "batch.csv":
+            for r in _csv_rows(path):
+                key = f"{rel} band {r['band_lo_cm']}-{r['band_hi_cm']} clutter {r['clutter']}"
+                found[key] = " ".join(f"{status}={r[status]}" for status in BATCH_STATUSES)
+    return found
+
+
+def outcome_lines(old_root: Path, new_root: Path) -> list[str]:
+    """One `outcome: <key>: <old> -> <new>` line per run or row whose status
+    or cycle count differs between two output trees ("-" where one side has
+    none)."""
+    old, new = outcomes(old_root), outcomes(new_root)
+    return [f"outcome: {key}: {old.get(key, '-')} -> {new.get(key, '-')}"
+            for key in changed(old, new)]
 
 
 def main(argv=None) -> int:
@@ -127,6 +168,10 @@ def main(argv=None) -> int:
         for path in paths:
             print(f"changed: {path}")
         print(f"{len(paths)} of {len(old.keys() | new.keys())} files changed")
+        lines = outcome_lines(out / "old", out / "new")
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} runs or rows changed status or cycle count")
         return 1 if paths else 0
     sys.path.insert(0, str(Path(args.src).resolve()))
     produce(out)
