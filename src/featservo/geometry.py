@@ -123,9 +123,8 @@ def pose_error(a: Pose, b: Pose) -> tuple[float, float]:
 def _exp_terms(xi: list) -> tuple[list, list]:
     """Rotation (row-major, 9 floats) and translation (3 floats) of the
     exponential map of a 6-vector (linear u, angular w) of Python floats, in
-    closed form: with W the
-    cross-product matrix of w and theta = |w|, R = I + a W + b W^2 and
-    t = (I + b W + c W^2) u, where a = sin(theta)/theta,
+    closed form: with W the cross-product matrix of w and theta = |w|,
+    R = I + a W + b W^2 and t = (I + b W + c W^2) u, where a = sin(theta)/theta,
     b = (1 - cos(theta))/theta^2 and c = (theta - sin(theta))/theta^3
     (their limits 1, 1/2 and 1/6 below _SMALL_ANGLE). W^2 = w w^T - theta^2 I
     is written out entry by entry. Raises NonFiniteStep when the map

@@ -99,7 +99,6 @@ class Scene:
             return mask
         n = self.n_object
         to_cam = camera_position - self.points[:n]
-        # row dots, each one multiply and one reduction
         dots = np.add.reduce(to_cam * self.object_normals, axis=1)
         norms = np.sqrt(np.add.reduce(to_cam * to_cam, axis=1)) + 1e-300
         mask[:n] = dots / norms >= self._cos_cone

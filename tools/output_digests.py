@@ -62,8 +62,6 @@ CONFIGS = {
         "batch": {"bands_cm": [[0, 1], [4, 8]], "trials": 2, "clutter": True},
     },
 }
-# batch.csv's per-status trial counts
-BATCH_STATUSES = ("converged", "max_cycles", "tracking_lost", "insufficient_features")
 # (output directory, command, config) in run order
 COMMANDS = (
     ("run", "run", "run"),
@@ -112,6 +110,10 @@ def changed(old: dict[str, str], new: dict[str, str]) -> list[str]:
     """Keys whose values differ between two maps (of digests or outcomes), or
     that only one has."""
     return sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
+
+
+# batch.csv's per-status trial counts
+BATCH_STATUSES = ("converged", "max_cycles", "tracking_lost", "insufficient_features")
 
 
 def _csv_rows(path: Path) -> list[dict]:
