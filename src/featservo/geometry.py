@@ -18,9 +18,9 @@ from .errors import NonFiniteStep
 
 _MIN_DEPTH = 1e-9
 _SMALL_ANGLE = 1e-8
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the 3x3 identity, row-major
 # np.allclose(R.T @ R, I, atol=1e-6) written out: |x - I| <= atol + rtol * |I|
 _DIAG_TOL, _OFF_TOL = 1e-6 + 1e-5, 1e-6
-_THREE_I = (3.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 3.0)  # 3I, row-major
 
 
 def _mul3(A: list, B: list) -> list:
@@ -181,7 +181,7 @@ def integrate_twist(pose: Pose, twist: np.ndarray, dt: float) -> Pose:
     step_R, (ux, uy, uz) = _exp_terms(xi)
     R = pose.rotation.ravel().tolist()
     M = _mul3(R, step_R)
-    N = [e - g for e, g in zip(_THREE_I, _mul3(M[0::3] + M[1::3] + M[2::3], M))]
+    N = [3.0 * e - g for e, g in zip(_EYE, _mul3(M[0::3] + M[1::3] + M[2::3], M))]
     t = [R[r] * ux + R[r + 1] * uy + R[r + 2] * uz + p
          for r, p in zip((0, 3, 6), pose.translation.tolist())]
     return Pose(np.array([0.5 * q for q in _mul3(M, N)]).reshape(3, 3), np.array(t))

@@ -23,13 +23,12 @@ from .features import (
     synthetic_detect,
     top_k,
 )
-from .geometry import CameraIntrinsics, Pose, integrate_twist, pixel_to_normalized
+from .geometry import _EYE, CameraIntrinsics, Pose, integrate_twist, pixel_to_normalized
 from .matching import RansacConfig, match_nn, ransac_inliers, tracking_update
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=160.0, cy=120.0, width=320, height=240)
 
 _INSUFFICIENT_LIMIT = 10  # consecutive starved cycles before giving up
-_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the 3x3 identity, row-major
 _TABLE = ("points", "descriptors", "ids", "scores", "sq_norms")  # Scene's per-row arrays
 # scene sizes, camera distances and translation offsets past 100 m are
 # errors: no view of the object is left there, and the builders overflow
