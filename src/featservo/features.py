@@ -217,12 +217,11 @@ def synthetic_detect(
     if cfg.descriptor_noise_sigma > 0:
         # one generator byte per component, rows in returned order: byte b
         # adds (b - 127.5)*delta, zero-mean with variance sigma**2 exactly.
-        # The rows are renormalized by their float32-accumulated norms, which
-        # leave them within 2.1e-7 of unit norm (the largest of 5.1e6 noisy
-        # rows at sigma 1e-3 to 1e10), and the unit-norm check is the one
-        # float64 pass. A sigma past about 1.1e18 overflows the float32
-        # squared norms, and one past float32's range the delta; either
-        # gives zero or NaN rows, which fail the check
+        # Norms accumulated in float32 renormalize rows to within 2.1e-7 of
+        # 1 (the worst of 5.1e6 rows, sigma 1e-3 to 1e10), so the unit-norm
+        # check is the one float64 pass. A sigma past about 1.1e18 overflows
+        # the squared norms, one past float32's range the delta: zero or NaN
+        # rows, which fail the check
         m, d = desc.shape
         noise = rng.bit_generator.random_raw(-(-m * d // 8)).view(np.uint8)[: m * d]
         with np.errstate(over="ignore", invalid="ignore"):
