@@ -151,12 +151,8 @@ def _order_by_score(pixels, scores):
 
 def _in_frame(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Per-row mask of pixels inside the image; NaN and inf fall outside."""
-    return (
-        (pixels[:, 0] >= 0)
-        & (pixels[:, 0] < intrinsics.width)
-        & (pixels[:, 1] >= 0)
-        & (pixels[:, 1] < intrinsics.height)
-    )
+    inside = (pixels >= 0) & (pixels < (intrinsics.width, intrinsics.height))
+    return inside[:, 0] & inside[:, 1]
 
 
 def _visible(scene, camera: Pose, intrinsics: CameraIntrinsics):
@@ -167,7 +163,7 @@ def _visible(scene, camera: Pose, intrinsics: CameraIntrinsics):
     """
     pixels, depths = project_many(camera.world_to_camera(scene.points), intrinsics)
     visible = (depths > 1e-9) & _in_frame(pixels, intrinsics)
-    visible &= scene.view_cone_mask(camera.translation)
+    visible[: scene.n_object] &= scene.view_cone_mask(camera.translation)
     return pixels, depths, visible
 
 
@@ -190,31 +186,33 @@ def synthetic_detect(
         rng = np.random.default_rng(cfg.seed)
     pixels, depths, visible = _visible(scene, camera, intrinsics)
     idx = np.flatnonzero(visible)
-    # one draw per visible landmark, in scene order, so runs are reproducible
-    keep = rng.random(idx.size) >= cfg.detection_dropout
-    idx = idx[keep]
-    n = idx.size
-    noisy_pixels = pixels[idx]
+    # one draw per visible landmark, in scene order, so runs are reproducible;
+    # drawn at dropout 0 too, where it keeps every row, so the stream is the same
+    draw = rng.random(idx.size)
+    if cfg.detection_dropout > 0:
+        idx = idx[draw >= cfg.detection_dropout]
+    pixels = pixels[idx]
     if cfg.pixel_noise_sigma > 0:
-        noisy_pixels = noisy_pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(n, 2))
-    # keypoints pushed out of frame by noise are dropped, never clamped;
-    # the rest are ranked highest confidence first, and each row of the
-    # table is gathered once, in that order
-    inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
-    scores = scene.scores[idx[inb]]
-    rank = _order_by_score(noisy_pixels[inb], scores)
-    rows = inb[rank]
-    landmarks = idx[rows]
+        pixels = pixels + rng.normal(0.0, cfg.pixel_noise_sigma, size=(idx.size, 2))
+        # keypoints pushed out of frame by noise are dropped, never clamped
+        inb = _in_frame(pixels, intrinsics)
+        idx, pixels = idx[inb], pixels[inb]
+    # ranked highest confidence first; each row of the table is gathered
+    # once, in that order
+    scores = scene.scores[idx]
+    rank = _order_by_score(pixels, scores)
+    landmarks = idx[rank]
     # each property of the set is checked once, where it is established: the
-    # in-frame filter is the pixel check, `_visible`'s depth > 1e-9 the depth
+    # in-frame filters are the pixel check, `_visible`'s depth > 1e-9 the depth
     # positivity check, and the scene checked its scores in [0, 1] and its
     # unit rows when it was built. An infinite depth still projects in frame
     depths = depths[landmarks]
     if not np.all(depths < np.inf):
         raise InvalidFeatureSet("depths must be positive and finite")
     desc = scene.descriptors[landmarks]
-    sq_norms = scene.sq_norms[landmarks]
-    if cfg.descriptor_noise_sigma > 0:
+    if cfg.descriptor_noise_sigma == 0:
+        sq_norms = scene.sq_norms[landmarks]
+    else:
         # one generator byte per component, rows in returned order: byte b
         # adds (b - 127.5)*delta, zero-mean with variance sigma**2 exactly.
         # Norms accumulated in float32 renormalize rows to within 2.1e-7 of
@@ -226,11 +224,13 @@ def synthetic_detect(
         noise = rng.bit_generator.random_raw(-(-m * d // 8)).view(np.uint8)[: m * d]
         with np.errstate(over="ignore", invalid="ignore"):
             delta = np.float32(cfg.descriptor_noise_sigma * (12 / (256**2 - 1)) ** 0.5)
-            desc += (noise.reshape(m, d) - np.float32(127.5)) * delta
+            step = np.subtract(noise.reshape(m, d), np.float32(127.5), dtype=np.float32)
+            step *= delta
+            desc += step
             desc /= np.sqrt(_sq_norms(desc, np.float32))[:, None]
         sq_norms = _unit_sq_norms(desc)
     return FeatureSet.__new__(FeatureSet)._freeze(
-        noisy_pixels[rows], desc, scores[rank], (intrinsics.width, intrinsics.height),
+        pixels[rank], desc, scores[rank], (intrinsics.width, intrinsics.height),
         depths, scene.ids[landmarks], sq_norms,
     )
 

@@ -195,12 +195,16 @@ def project_many(points: np.ndarray, intrinsics: CameraIntrinsics):
     """
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     Z = p[:, 2]
+    # (fx*X)/Z + cx in three operations, on a (2, n) array so that each runs
+    # along n; the pixels are its transpose
+    pix = np.multiply(p.T[:2], ((intrinsics.fx,), (intrinsics.fy,)), order="C")
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = intrinsics.cx + intrinsics.fx * p[:, 0] / Z
-        v = intrinsics.cy + intrinsics.fy * p[:, 1] / Z
-    pix = np.stack([u, v], axis=1)
-    pix[Z <= _MIN_DEPTH] = np.nan
-    return pix, Z
+        pix /= Z
+    pix += ((intrinsics.cx,), (intrinsics.cy,))
+    behind = Z <= _MIN_DEPTH
+    if behind.any():
+        pix[:, behind] = np.nan
+    return pix.T, Z
 
 
 def pixel_to_normalized(pixel, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -15,6 +15,9 @@ from .features import FeatureSet
 
 MIN_SAMPLE = 4  # pairs that fix a homography
 CHUNK = 8  # RANSAC hypotheses drawn, fitted and scored per batch
+# _minimal_fit's point indices, as arrays once rather than lists per call
+_BASE, _EDGE_A, _EDGE_B = np.array([1, 0, 0, 0]), np.array([2, 3, 1, 1]), np.array([3, 2, 3, 2])
+_ADJ_U, _ADJ_V = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -59,40 +62,14 @@ class InlierSet(CorrespondenceSet):
     model: np.ndarray  # 3x3 homography mapping current -> target pixels
 
 
-def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two descriptor arrays hold equal values, rejecting on shape
-    and row 0 before the full comparison."""
-    return a is b or (
-        a.shape == b.shape
-        and (a.size == 0 or np.array_equal(a[0], b[0]))
-        and np.array_equal(a, b)
-    )
-
-
-def match_nn(
-    current: FeatureSet,
-    target: FeatureSet,
-    last: tuple[np.ndarray, np.ndarray, CorrespondenceSet] | None = None,
-) -> CorrespondenceSet:
+def match_nn(current: FeatureSet, target: FeatureSet) -> CorrespondenceSet:
     """Mutual Euclidean nearest-neighbour matching on descriptors.
 
     A pair survives only if each side is the other's nearest neighbour, so
     no target index appears twice. Equal distances resolve to the lowest
-    index.
-
-    `last` is an earlier call's (current descriptors, target descriptors,
-    result). When both descriptor arrays equal this call's, its indices and
-    distances, which depend on the descriptors alone, are returned as they
-    are, with the pixels gathered from this call's sets.
+    index. The indices and distances depend on the descriptors (and their
+    squared norms) alone.
     """
-    if last is not None and _same_rows(last[1], target.descriptors) and _same_rows(
-        last[0], current.descriptors
-    ):
-        C = last[2]
-        cur_idx, tgt_idx, dist = C.current_indices, C.target_indices, C.distances
-        return CorrespondenceSet(
-            cur_idx, tgt_idx, dist, current.pixels[cur_idx], target.pixels[tgt_idx]
-        )
     if len(current) == 0 or len(target) == 0:
         return CorrespondenceSet(
             np.zeros(0, dtype=np.int64),
@@ -112,12 +89,12 @@ def match_nn(
     nearest_tgt = np.argmin(d2, axis=1)
     nearest_cur = np.argmin(d2, axis=0)
     keep = nearest_cur[nearest_tgt] == np.arange(len(current))
-    cur_idx = np.flatnonzero(keep).astype(np.int64)
-    tgt_idx = nearest_tgt[cur_idx].astype(np.int64)
+    cur_idx = np.flatnonzero(keep).astype(np.int64, copy=False)
+    tgt_idx = nearest_tgt[cur_idx].astype(np.int64, copy=False)
     dist = np.sqrt(d2[cur_idx, tgt_idx])
     order = np.argsort(dist, kind="stable")
     cur_idx, tgt_idx, dist = cur_idx[order], tgt_idx[order], dist[order]
-    # read-only, as a later call may hand them out again
+    # read-only, as the servo loop may hand them out again
     for a in (cur_idx, tgt_idx, dist):
         a.setflags(write=False)
     return CorrespondenceSet(
@@ -205,15 +182,15 @@ def _minimal_fit(src: np.ndarray, dst: np.ndarray):
     """
     p = np.stack([src, dst])
     # per side: lam_1, lam_2, lam_3 and det(P) as cross products of edges
-    base = p[..., [1, 0, 0, 0], :]
-    a = p[..., [2, 3, 1, 1], :] - base
-    b = p[..., [3, 2, 3, 2], :] - base
+    base = p[..., _BASE, :]
+    a = p[..., _EDGE_A, :] - base
+    b = p[..., _EDGE_B, :] - base
     area2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     ok = np.abs(area2).min(axis=(0, 2)) >= 2e-6
     scale = np.where(ok[:, None], area2[1, :, :3], 0.0)
     scale /= np.where(ok[:, None], area2[0, :, :3] * area2[1, :, 3:], 1.0)
     # row r of adj(P) is the cross product of the lifted points u[r] and v[r]
-    u, v = src[:, [1, 2, 0]], src[:, [2, 0, 1]]
+    u, v = src[:, _ADJ_U], src[:, _ADJ_V]
     cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
     adj_p = np.stack([u[..., 1] - v[..., 1], v[..., 0] - u[..., 0], cross], axis=-1)
     Q = np.concatenate([dst[:, :3], np.ones((len(dst), 3, 1))], axis=2).swapaxes(1, 2)
@@ -234,14 +211,17 @@ def fit_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     return _dlt(src, dst)
 
 
-def _apply_homography(H: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    q = pts @ H[:, :2].T + H[:, 2]
-    w = q[:, 2]
+def _residuals(H: np.ndarray, pts: np.ndarray, to: np.ndarray):
+    """The (x, y) columns of H applied to (n, 2) points, minus `to`; inf
+    where |w| < 1e-12."""
+    x, y, w = (pts @ H[:, :2].T + H[:, 2]).T
     bad = np.abs(w) < 1e-12
-    w = np.where(bad, 1e-12, w)
-    out = q[:, :2] / w[:, None]
-    out[bad] = np.inf
-    return out
+    if bad.any():
+        w = np.where(bad, 1e-12, w)
+        x, y = x / w, y / w
+        x[bad] = y[bad] = np.inf
+        return x - to[:, 0], y - to[:, 1]
+    return x / w - to[:, 0], y / w - to[:, 1]
 
 
 def symmetric_transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -251,9 +231,10 @@ def symmetric_transfer_error(H: np.ndarray, src: np.ndarray, dst: np.ndarray) ->
         Hinv = np.linalg.inv(H)
     except np.linalg.LinAlgError:
         return np.full(src.shape[0], np.inf)
-    fwd = _apply_homography(H, src) - dst
-    bwd = _apply_homography(Hinv, dst) - src
-    return np.sqrt(np.sum(fwd**2, axis=1) + np.sum(bwd**2, axis=1))
+    # by columns, which for two is bit for bit np.sum(r**2, axis=1)
+    fx, fy = _residuals(H, src, dst)
+    bx, by = _residuals(Hinv, dst, src)
+    return np.sqrt((fx * fx + fy * fy) + (bx * bx + by * by))
 
 
 def _one_sided_inliers(H, src, dst, threshold):
@@ -384,7 +365,8 @@ def tracking_update(
     correspondences index into (the locked subset once locked), so a locked
     subset only shrinks and keeps its rows in `matched_target`'s order.
     Inliers that cover every row, in any order, give back `matched_target`
-    itself, so match_nn's reuse of the last match knows the lock by identity.
+    itself, so the servo loop's reuse of the last match knows the lock by
+    identity.
     """
     if locked is None and mean_error >= threshold:
         return None

@@ -24,7 +24,7 @@ from .features import (
     top_k,
 )
 from .geometry import _EYE, CameraIntrinsics, Pose, integrate_twist, pixel_to_normalized
-from .matching import RansacConfig, match_nn, ransac_inliers, tracking_update
+from .matching import CorrespondenceSet, RansacConfig, match_nn, ransac_inliers, tracking_update
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=160.0, cy=120.0, width=320, height=240)
 
@@ -89,19 +89,15 @@ class Scene:
             getattr(self, name).setflags(write=False)
 
     def view_cone_mask(self, camera_position: np.ndarray) -> np.ndarray:
-        """Per-landmark visibility from a camera position, by incidence angle.
-
-        Only object landmarks carry normals; clutter always passes.
-        """
-        mask = np.ones(self.points.shape[0], dtype=bool)
-        if self._cos_cone is None:
-            return mask
+        """The object rows' visibility from a camera position, by incidence
+        angle, (n_object,); clutter carries no normals and always passes."""
         n = self.n_object
+        if self._cos_cone is None:
+            return np.ones(n, dtype=bool)
         to_cam = camera_position - self.points[:n]
         dots = np.add.reduce(to_cam * self.object_normals, axis=1)
         norms = np.sqrt(np.add.reduce(to_cam * to_cam, axis=1)) + 1e-300
-        mask[:n] = dots / norms >= self._cos_cone
-        return mask
+        return dots / norms >= self._cos_cone
 
     def without_clutter(self) -> "Scene":
         """The same scene without clutter: every table array is a view of
@@ -287,10 +283,14 @@ class ServoLoop:
         self.tracking_disabled = False
         self._detect_rng = np.random.default_rng([cfg.detector.seed, 0xDE])
         self._ransac_rng = np.random.default_rng([cfg.ransac.seed, 0x5C])
-        # without descriptor noise the descriptors can repeat from one cycle
-        # to the next, and match_nn can then reuse the last match
+        # without descriptor noise a detection's descriptors (and their norms)
+        # are the scene's rows of its landmark ids, and every matched target
+        # set is the render or a lock of it, which keeps its identity while it
+        # does not shrink. Equal current ids and the same target object then
+        # mean equal descriptors on both sides, and match_nn, which reads
+        # nothing else but the pixels it gathers, would return the last pairs
         self._reuse_match = cfg.detector.descriptor_noise_sigma == 0
-        self._last_match = None  # (current descriptors, target descriptors, pairs)
+        self._last_match = None  # (target, current ids as bytes, pairs)
         # RANSAC's prior: the control law shrinks the image error by rho =
         # 1 - gain*dt per cycle, so the last model H (at any scale) moves on to
         # rho*H + (1 - rho)*H[2,2]*I; None on cycle 1 and after a failed cycle
@@ -308,9 +308,16 @@ class ServoLoop:
         tracking_flag = self.locked is not None
         target = self.locked if tracking_flag else self.target_full
 
-        C = match_nn(current, target, last=self._last_match)
-        if self._reuse_match:
-            self._last_match = (current.descriptors, target.descriptors, C)
+        ids_key = current.landmark_ids.tobytes() if self._reuse_match else None
+        last = self._last_match
+        if last is not None and last[0] is target and last[1] == ids_key:
+            C = last[2]  # the same target rows, so the same target pixels
+            C = CorrespondenceSet(C.current_indices, C.target_indices, C.distances,
+                                  current.pixels[C.current_indices], C.target_pixels)
+        else:
+            C = match_nn(current, target)
+            if self._reuse_match:
+                self._last_match = (target, ids_key, C)
         try:
             R = ransac_inliers(C, cfg.ransac, rng=self._ransac_rng, prior=self._prior)
         except TooFewCorrespondences:

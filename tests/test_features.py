@@ -341,6 +341,18 @@ class TestDetectMatchesOldBody:
             assert len(new) < len(synthetic_detect(scene, camera, intrinsics, clean))
 
 
+class TestInFrame:
+    def test_equals_the_four_comparisons(self, intrinsics):
+        w, h = intrinsics.width, intrinsics.height
+        rng = np.random.default_rng(3)
+        pixels = rng.uniform(-20, 340, (400, 2))
+        special = [0.0, -0.0, -1e-12, w - 1e-12, w, h - 1e-12, h, np.nan, np.inf, -np.inf]
+        pixels[:100] = rng.choice(special, (100, 2))
+        for p in (pixels, np.asfortranarray(pixels), pixels[:0]):
+            ref = (p[:, 0] >= 0) & (p[:, 0] < w) & (p[:, 1] >= 0) & (p[:, 1] < h)
+            assert np.array_equal(_in_frame(p, intrinsics), ref)
+
+
 class TestFloat32Descriptors:
     """Descriptors are float32 from the scene table through matching; the
     unit-norm check keeps its 1e-6 tolerance, accumulated in float64."""
@@ -425,19 +437,21 @@ class TestFloat32Descriptors:
         assert match_nn(empty, target).distances.dtype == np.float32
 
     def test_noise_free_match_reuse_hits(self, intrinsics):
-        # two noise-free detections from one pose hold equal descriptors,
-        # so match_nn hands back the first call's pairs
+        # the invariant the servo loop's match reuse rests on: without
+        # descriptor noise a detection's descriptors and their norms are the
+        # scene's rows of its landmark ids, whatever else is noisy, so equal
+        # ids mean equal descriptors
         scene = make_box_scene(seed=9, n_clutter=40)
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
-        target = render_target(scene, camera, intrinsics)
-        cfg = SyntheticDetectorConfig(pixel_noise_sigma=0.3)
+        cfg = SyntheticDetectorConfig(pixel_noise_sigma=0.3, detection_dropout=0.1)
         rng = np.random.default_rng(2)
         first = synthetic_detect(scene, camera, intrinsics, cfg, rng)
-        C0 = match_nn(first, target)
-        second = synthetic_detect(scene, camera, intrinsics, cfg, rng)
-        assert not np.array_equal(first.pixels, second.pixels)
-        C1 = match_nn(second, target, last=(first.descriptors, target.descriptors, C0))
-        assert len(C0) > 0 and C1.distances is C0.distances
+        for fs in (first, synthetic_detect(scene, camera, intrinsics, cfg, rng)):
+            assert len(fs) > 0
+            assert fs.descriptors.tobytes() == scene.descriptors[fs.landmark_ids].tobytes()
+            assert fs.sq_norms.tobytes() == scene.sq_norms[fs.landmark_ids].tobytes()
+        target = render_target(scene, camera, intrinsics)
+        assert target.descriptors.tobytes() == scene.descriptors[target.landmark_ids].tobytes()
 
 
 _CONTRACT_SCENE = make_box_scene(seed=13, n_clutter=60)

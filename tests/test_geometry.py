@@ -60,6 +60,38 @@ class TestProject:
         pixel, _ = project((5.0, 0.0, 1.0), intrinsics)
         assert pixel[0] > intrinsics.width  # caller filters
 
+    @staticmethod
+    def reference(points, k):
+        """cx + fx*X/Z per column, NaN at depth <= 1e-9."""
+        X, Y, Z = np.asarray(points, dtype=float).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pix = np.stack([k.cx + k.fx * X / Z, k.cy + k.fy * Y / Z], axis=1)
+        pix[Z <= 1e-9] = np.nan
+        return pix
+
+    def test_bitwise_equal_to_the_per_column_formula(self):
+        k = CameraIntrinsics(fx=612.3, fy=598.7, cx=161.25, cy=119.5, width=320, height=240)
+        rng = np.random.default_rng(5)
+        front = np.c_[rng.uniform(-0.3, 0.3, (500, 2)), rng.uniform(0.05, 3.0, 500)]
+        mixed = front.copy()
+        mixed[::7, 2] *= -1.0  # behind the camera
+        mixed[3::11, 2] = 0.0
+        mixed[5::13, 2] = 1e-9
+        mixed[6::13, 2] = np.nextafter(1e-9, 1.0)
+        # the frame edges: pixels 0 and width or height, and one step inside
+        Z = 0.4
+        edges = np.array([[(u - k.cx) * Z / k.fx, (v - k.cy) * Z / k.fy, Z]
+                          for u in (0.0, 1e-9, k.width - 1e-9, k.width)
+                          for v in (0.0, k.height - 1e-9, k.height)])
+        for points in (front, mixed, edges, front[:1], front[:0]):
+            pixels, depths = project_many(points, k)
+            ref = self.reference(points, k)
+            assert pixels.shape == ref.shape and pixels.dtype == ref.dtype
+            assert pixels.tobytes() == ref.tobytes()
+            assert depths.tobytes() == np.ascontiguousarray(points[:, 2]).tobytes()
+        nan_rows = np.isnan(project_many(mixed, k)[0]).all(axis=1)
+        assert np.array_equal(nan_rows, mixed[:, 2] <= 1e-9) and 0 < nan_rows.sum() < 500
+
 
 class TestPixelToNormalized:
     def test_principal_point_maps_to_origin(self, intrinsics):

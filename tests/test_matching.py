@@ -192,63 +192,29 @@ class TestMatchNNMatchesOldFormula:
 
 
 class TestMatchMemo:
-    """match_nn's `last`: equal descriptors give back the earlier indices and
-    distances, with pixels from the new sets; any other input matches anew."""
+    """The premise of the servo loop's match reuse: match_nn's indices and
+    distances depend on the descriptors alone, and its pixels are gathered
+    from the sets it is given."""
 
-    FIELDS = ("current_indices", "target_indices", "distances",
-              "current_pixels", "target_pixels")
-
-    @staticmethod
-    def sets(seed):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hit_on_equal_descriptors_equals_fresh_match(self, seed):
         rng = np.random.default_rng(seed)
         base = unit_descriptors(50, seed=seed)
         tgt = feature_set(rng.uniform(0, 200, (50, 2)), base)
         cur = feature_set(rng.uniform(0, 200, (40, 2)), noisy_copy(base[5:45], 0.05, seed))
-        return cur, tgt
-
-    @classmethod
-    def assert_fresh(cls, C, cur, tgt):
-        fresh = match_nn(cur, tgt)
-        for field in cls.FIELDS:
-            a, b = getattr(C, field), getattr(fresh, field)
-            assert a.dtype == b.dtype and a.shape == b.shape, field
-            assert a.tobytes() == b.tobytes(), field
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_hit_on_equal_descriptors_equals_fresh_match(self, seed):
-        cur, tgt = self.sets(seed)
         C0 = match_nn(cur, tgt)
         # fresh sets: equal descriptor copies at other pixels
         rng = np.random.default_rng(100 + seed)
         cur2 = feature_set(rng.uniform(0, 200, (40, 2)), cur.descriptors.copy())
         tgt2 = feature_set(rng.uniform(0, 200, (50, 2)), tgt.descriptors.copy())
-        C1 = match_nn(cur2, tgt2, last=(cur.descriptors, tgt.descriptors, C0))
-        assert C1.current_indices is C0.current_indices  # a hit
-        assert not C1.distances.flags.writeable
+        C1 = match_nn(cur2, tgt2)
         assert len(C1) > 0
-        self.assert_fresh(C1, cur2, tgt2)
-
-    @pytest.mark.parametrize("side", ["current", "target"])
-    @pytest.mark.parametrize("row", [0, 17])
-    @pytest.mark.parametrize("toward", [np.inf, -np.inf])
-    def test_one_ulp_step_misses(self, side, row, toward):
-        cur, tgt = self.sets(3)
-        C0 = match_nn(cur, tgt)
-        changed = (cur if side == "current" else tgt).descriptors.copy()
-        changed[row, 5] = np.nextafter(changed[row, 5], toward)
-        fs = feature_set((cur if side == "current" else tgt).pixels, changed)
-        new_cur, new_tgt = (fs, tgt) if side == "current" else (cur, fs)
-        C1 = match_nn(new_cur, new_tgt, last=(cur.descriptors, tgt.descriptors, C0))
-        assert C1.current_indices is not C0.current_indices
-        self.assert_fresh(C1, new_cur, new_tgt)
-
-    def test_shape_change_misses(self):
-        cur, tgt = self.sets(4)
-        C0 = match_nn(cur, tgt)
-        fewer = cur.subset(np.arange(30))
-        C1 = match_nn(fewer, tgt, last=(cur.descriptors, tgt.descriptors, C0))
-        assert C1.current_indices is not C0.current_indices
-        self.assert_fresh(C1, fewer, tgt)
+        for name in ("current_indices", "target_indices", "distances"):
+            a, b = getattr(C0, name), getattr(C1, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert not b.flags.writeable  # the loop hands them out again
+        assert C1.current_pixels.tobytes() == cur2.pixels[C1.current_indices].tobytes()
+        assert C1.target_pixels.tobytes() == tgt2.pixels[C1.target_indices].tobytes()
 
 
 def hartley(pts):
@@ -694,6 +660,43 @@ class TestHomography:
         src = np.random.default_rng(13).uniform(20, 300, (8, 2))
         err = symmetric_transfer_error(H, src, apply_h(H, src))
         assert np.all(err < 1e-9)
+
+    @staticmethod
+    def old_transfer_error(H, src, dst):
+        """symmetric_transfer_error as an (n, 2) array formula, with its inf
+        guard on |w| < 1e-12."""
+        def apply(H, pts):
+            q = pts @ H[:, :2].T + H[:, 2]
+            bad = np.abs(q[:, 2]) < 1e-12
+            out = q[:, :2] / np.where(bad, 1e-12, q[:, 2])[:, None]
+            out[bad] = np.inf
+            return out
+
+        try:
+            Hinv = np.linalg.inv(H)
+        except np.linalg.LinAlgError:
+            return np.full(src.shape[0], np.inf)
+        fwd, bwd = apply(H, src) - dst, apply(Hinv, dst) - src
+        return np.sqrt(np.sum(fwd**2, axis=1) + np.sum(bwd**2, axis=1))
+
+    def test_symmetric_transfer_error_bitwise_equals_array_formula(self):
+        rng = np.random.default_rng(23)
+        src = rng.uniform(0, 320, (320, 2))
+        x0 = src[7, 0]
+        models = [known_homography(), np.eye(3), np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])]
+        models += [np.eye(3) + rng.normal(0, s, (3, 3)) for s in (1e-4, 1e-2, 0.3) for _ in range(5)]
+        # w = x - x0: exactly 0 at row 7 and below 1e-12 at row 8, whose x
+        # is within 1e-13 of x0; dst = src puts row 7 at w = 0 backwards too
+        src[8, 0] = x0 + 5e-14
+        models.append(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -x0]]))
+        for H in models:
+            for dst in (apply_h(known_homography(), src) + rng.normal(0, 2, src.shape), src):
+                for n in (1, 9, 320):
+                    new = symmetric_transfer_error(H, src[:n], dst[:n])
+                    old = self.old_transfer_error(H, src[:n], dst[:n])
+                    assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+        err = symmetric_transfer_error(models[-1], src, src)
+        assert np.isinf(err[7]) and np.isinf(err[8]) and np.isfinite(err).sum() >= 300
 
 
 class TestRansac:

@@ -667,31 +667,30 @@ def same_value(a, b) -> bool:
 
 
 class TestMatchReuse:
-    """Without descriptor noise the loop hands match_nn its last match."""
+    """Without descriptor noise the loop reuses its last match while the
+    detection's landmark ids repeat and the matched target set is the same
+    object; it calls simulate.match_nn otherwise."""
 
     @staticmethod
-    def run(scene, cfg, monkeypatch, ignore_last=False):
-        """run_servo's trace and, per match_nn call, whether it was given a
-        last match and whether it returned that match's pairs."""
+    def run(scene, cfg, monkeypatch, reuse=True):
+        """The records of a loop stepped as run_servo steps it, and the
+        number of match_nn calls it made; `reuse=False` forces matching on
+        every cycle."""
         match_nn, calls = simulate.match_nn, []
-
-        def spy(current, target, last=None):
-            C = match_nn(current, target, None if ignore_last else last)
-            calls.append((last is not None, last is not None and C.distances is last[2].distances))
-            return C
-
-        monkeypatch.setattr(simulate, "match_nn", spy)
-        trace = run_servo(scene, cfg)
+        monkeypatch.setattr(simulate, "match_nn", lambda c, t: calls.append(1) or match_nn(c, t))
+        loop = ServoLoop(scene, cfg)
+        loop._reuse_match &= reuse
+        records, _ = step_to_end(loop)
         monkeypatch.undo()
-        return trace, calls
+        return records, len(calls)
 
     def test_descriptor_noise_holds_no_memo(self, box_scene, target_pose, monkeypatch):
         cfg = offset_config(
             target_pose, [0.01, 0, 0, 0, 0, 0.02], max_cycles=30,
             detector=SyntheticDetectorConfig(descriptor_noise_sigma=0.02, seed=2),
         )
-        trace, calls = self.run(box_scene, cfg, monkeypatch)
-        assert len(calls) == len(trace) and not any(given for given, _ in calls)
+        records, calls = self.run(box_scene, cfg, monkeypatch)
+        assert calls == len(records) == 30
 
     def test_reused_matches_give_the_same_records(self, box_scene, target_pose, monkeypatch):
         # clutter, pixel noise (keypoints leave the frame, the lock shrinks)
@@ -700,16 +699,60 @@ class TestMatchReuse:
             target_pose, [0.02, -0.01, 0.01, 0.03, -0.05, 0.04],
             detector=SyntheticDetectorConfig(pixel_noise_sigma=0.3, seed=5),
         )
-        trace, calls = self.run(box_scene, cfg, monkeypatch)
-        plain, _ = self.run(box_scene, cfg, monkeypatch, ignore_last=True)
-        hits = sum(hit for _, hit in calls)
-        assert trace.status == plain.status == "Converged"
-        assert any(r.tracking for r in trace.records)
-        assert 0 < hits < len(calls) - 1  # hits and misses both occur
-        assert len(trace) == len(plain)
-        for a, b in zip(trace.records, plain.records):
+        records, calls = self.run(box_scene, cfg, monkeypatch)
+        plain, plain_calls = self.run(box_scene, cfg, monkeypatch, reuse=False)
+        assert records[-1].mean_error < cfg.success_threshold
+        assert any(r.tracking for r in records)
+        assert plain_calls == len(plain) == len(records)
+        assert 1 < calls < len(records) - 1  # hits and misses both occur
+        for a, b in zip(records, plain):
             for f in fields(CycleRecord):
                 assert same_value(getattr(a, f.name), getattr(b, f.name)), (a.cycle, f.name)
+
+    @staticmethod
+    def still_loop(scene, target_pose, monkeypatch):
+        """A loop without noise or tracking whose pose goes back to the start
+        after each step, so each detection repeats the last; and its list of
+        match_nn calls."""
+        cfg = offset_config(target_pose, [0.01, 0, 0, 0, 0, 0.02], tracking_threshold=0.0)
+        match_nn, calls = simulate.match_nn, []
+        monkeypatch.setattr(simulate, "match_nn", lambda c, t: calls.append(t) or match_nn(c, t))
+        loop = ServoLoop(scene, cfg)
+        step = loop.step
+
+        def still_step():
+            record = step()
+            loop.pose = cfg.initial_pose
+            return record
+
+        loop.step = still_step
+        return loop, calls
+
+    def test_repeated_ids_hit(self, box_scene, target_pose, monkeypatch):
+        loop, calls = self.still_loop(box_scene, target_pose, monkeypatch)
+        first, second = loop.step(), loop.step()
+        assert calls == [loop.target_full]
+        assert first.n_inliers > 0
+        for f in fields(CycleRecord):
+            if f.name != "cycle":
+                assert same_value(getattr(first, f.name), getattr(second, f.name)), f.name
+
+    def test_changed_ids_miss(self, box_scene, target_pose, monkeypatch):
+        loop, calls = self.still_loop(box_scene, target_pose, monkeypatch)
+        loop.step()
+        top_k = simulate.top_k
+        # the same detection without its last row
+        monkeypatch.setattr(simulate, "top_k", lambda fs, k: top_k(fs, len(fs) - 1))
+        loop.step()
+        assert len(calls) == 2
+
+    def test_new_target_object_misses(self, box_scene, target_pose, monkeypatch):
+        loop, calls = self.still_loop(box_scene, target_pose, monkeypatch)
+        loop.step()
+        # equal rows in a new object
+        loop.target_full = copy = loop.target_full.subset(slice(None))
+        loop.step()
+        assert len(calls) == 2 and calls[1] is copy
 
 
 class TestTraceOutput:

@@ -5,15 +5,21 @@ pairs, and write every pair and the medians to a BENCH file.
         [--seeds 1-10] [--seconds 30] [--trace 0] [--out BENCH_N.json]
 
 DIR is a checkout of the parent commit (made with `git clone` or
-`git archive`). For each workload and each seed, `bench/run.py` runs once in
-DIR and once in this checkout, each from its own root, one after the other;
-odd pairs run the parent first and even pairs the change first. The output
-holds each run's metrics and exit code, and per end-to-end metric of
-`BENCHMARK.json` the median and quartiles of each side and how many pairs
-the change won, lost and tied. A run that exits non-zero or fails its
-checks is kept in `pairs` and counted under `failed_runs`, its pair is left
-out of the summary, and the script exits 1. Each side is named by its git
-revision, with `-dirty` when its tree has uncommitted changes.
+`git archive`). For each workload and each seed, `bench/run.py` runs twice
+in DIR and twice in this checkout, each from its own root and for half of
+`--seconds`, in the order A B B A: odd pairs start with the parent, even
+pairs with the change, so both sides see the same host phases. Each side's
+metrics are the means of its two runs. The output holds each run's metrics
+and exit code, and per end-to-end metric of `BENCHMARK.json` the median and
+quartiles of each side and how many pairs the change won, lost and tied. A
+run that exits non-zero or fails its checks is kept in `pairs` and counted
+under `failed_runs`, its pair is left out of the summary, and the script
+exits 1. Each side is named by its git revision, with `-dirty` when its
+tree has uncommitted changes.
+
+Every `bench/run.py` runs with `PYTHONPYCACHEPREFIX` set to a fresh, empty
+directory, which its set-up probes inherit, so neither side reads bytecode
+that the other lacks.
 
 Right before each `bench/run.py` call the script times a fixed NumPy
 kernel in its own process and stores the median µs per call in that run's
@@ -30,6 +36,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -65,7 +72,9 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     host_us = host_kernel_us()
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pycache_") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -78,6 +87,27 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 def failed(run: dict) -> bool:
     return run["exit"] != 0 or not run["correct"]
+
+
+def run_pair(roots: dict, first: str, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """Both sides of one pair, each run twice for seconds/2 in the order
+    A B B A with A = `first`: every run's record, in order, and per side the
+    mean of each metric both its runs report, the first non-zero exit and
+    whether both runs were correct."""
+    second = next(side for side in roots if side != first)
+    runs = [dict(side=side, **run_bench(roots[side], workload, seed, seconds / 2, trace))
+            for side in (first, second, second, first)]
+    pair = {"seed": seed, "first": first, "runs": runs}
+    for side in roots:
+        a, b = (run for run in runs if run["side"] == side)
+        pair[side] = {
+            "exit": a["exit"] or b["exit"],
+            "correct": a["correct"] and b["correct"],
+            "metrics": {name: (value + b["metrics"][name]) / 2
+                        for name, value in a["metrics"].items() if name in b["metrics"]},
+        }
+    return pair
 
 
 def revision(root: Path) -> str:
@@ -154,7 +184,8 @@ def main(argv=None) -> int:
         "pr": args.pr,
         "parent": revision(parent),
         "change": revision(ROOT),
-        "command": f"bench/run.py --seconds {args.seconds:g} --trace {args.trace}",
+        "command": f"bench/run.py --seconds {args.seconds / 2:g} --trace {args.trace}, "
+                   "twice per side, A B B A",
         "machine": machine(),
         "workloads": {},
     }
@@ -162,16 +193,14 @@ def main(argv=None) -> int:
     for workload in workloads:
         pairs = []
         for i, seed in enumerate(parse_seeds(args.seeds)):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                root = parent if side == "parent" else ROOT
-                pair[side] = run_bench(root, workload, seed, args.seconds, args.trace)
+            first = "parent" if i % 2 == 0 else "change"
+            pair = run_pair({"parent": parent, "change": ROOT}, first, workload, seed,
+                            args.seconds, args.trace)
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} {pair[side]['metrics'].get('cycle_ms_p50', float('nan')):.3f} ms"
                 for side in ("parent", "change")), file=sys.stderr)
-        failed_runs = sum(failed(p[s]) for p in pairs for s in ("parent", "change"))
+        failed_runs = sum(failed(run) for p in pairs for run in p["runs"])
         any_failed |= failed_runs > 0
         report["workloads"][workload] = {
             "failed_runs": failed_runs,
