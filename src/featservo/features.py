@@ -204,8 +204,9 @@ def synthetic_detect(
     landmarks = idx[rank]
     # each property of the set is checked once, where it is established: the
     # in-frame filters are the pixel check, `_visible`'s depth > 1e-9 the depth
-    # positivity check, and the scene checked its scores in [0, 1] and its
-    # unit rows when it was built. An infinite depth still projects in frame
+    # positivity check, the scores are `landmark_scores`, in [0, 1) for any
+    # seed and id, and the scene checked its unit rows when it was built. An
+    # infinite depth still projects in frame
     depths = depths[landmarks]
     if not np.all(depths < np.inf):
         raise InvalidFeatureSet("depths must be positive and finite")

@@ -121,40 +121,26 @@ def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     """Normalized DLT of n >= 5 pairs, scaled to H[2, 2] = 1; None if degenerate.
 
     The 2n x 9 system A of the Hartley-normalized pairs has the rows
-    (p, 0, -u p) and (0, p, -v p), p = (x, y, 1). Its 9x9 normal matrix
-    M = A^T A is assembled from the 3x3 blocks of one product
-    P^T [P, uP, vP, (u^2 + v^2) P], and the model is the eigenvector of M's
-    smallest eigenvalue. A second eigenvalue near zero (three, when all
-    source points lie on one line) leaves the model unfixed, and a model of
-    rank 2 (all target points on one line) is no homography. One Newton
-    step, with the gradient A^T A h taken through the residuals A h, undoes
-    the error that squaring A into M adds: the model then lies within
-    rounding of the exact null vector of A, as close as the SVD's.
+    (p, 0, -u p) and (0, p, -v p), p = (x, y, 1), and the model is the
+    eigenvector of the smallest eigenvalue of A^T A. A second eigenvalue
+    near zero (three, when all source points lie on one line) leaves the
+    model unfixed, and a model of rank 2 (all target points on one line) is
+    no homography. One Newton step, with the gradient A^T (A h), undoes the
+    error that squaring A adds: the model then lies within rounding of the
+    exact null vector of A, as close as the SVD's.
     """
     n = src.shape[0]
     (sn, dn), (Ts, Td) = _normalize_points(np.stack([src, dst]))
-    P = np.ones((n, 3))
-    P[:, :2] = sn
-    W = np.ones((n, 4))
-    W[:, 1:3] = dn
-    W[:, 3] = dn[:, 0] ** 2 + dn[:, 1] ** 2
-    G = P.T @ (W[:, :, None] * P[:, None, :]).reshape(n, 12)
-    # eigh reads the lower triangle only
-    M = np.zeros((9, 9))
-    M[0:3, 0:3] = M[3:6, 3:6] = G[:, 0:3]
-    M[6:9, 0:3] = -G[:, 3:6].T
-    M[6:9, 3:6] = -G[:, 6:9].T
-    M[6:9, 6:9] = G[:, 9:12]
-    ev, V = np.linalg.eigh(M)
+    A = np.zeros((n, 2, 9))
+    A[:, 0, 0:2] = A[:, 1, 3:5] = sn
+    A[:, 0, 2] = A[:, 1, 5] = 1.0
+    A[:, :, 6:9] = -dn[:, :, None] * A[:, :1, 0:3]
+    A = A.reshape(2 * n, 9)
+    ev, V = np.linalg.eigh(A.T @ A)
     if ev[1] <= 1e-12 * ev[8]:
         return None
     h, B = V[:, 0], V[:, 1:]
-    q = P @ h.reshape(3, 3).T
-    r = q[:, :2] - dn * q[:, 2:]  # the residuals A h, one (x, y) row per pair
-    E = np.empty((n, 3))
-    E[:, :2] = r
-    E[:, 2] = -(r[:, 0] * dn[:, 0] + r[:, 1] * dn[:, 1])
-    grad = (E.T @ P).ravel()  # A^T A h
+    grad = A.T @ (A @ h)
     Hn = (h - B @ ((grad @ B) / (ev[1:] - ev[0]))).reshape(3, 3)
     # a model of rank 2 maps every point onto one line: the target side
     # lies on one line
@@ -351,27 +337,18 @@ def ransac_inliers(
     )
 
 
-def tracking_update(
-    locked: FeatureSet | None,
-    matched_target: FeatureSet,
-    inliers: InlierSet,
-    mean_error: float,
-    threshold: float,
-) -> FeatureSet | None:
-    """The target subset the next cycle matches against, None for the full set.
+def tracking_update(target: FeatureSet, inliers: InlierSet) -> FeatureSet:
+    """The tracking lock a cycle's inliers leave: `target`'s inlier rows in
+    row order, or `target` itself when the inliers cover every row.
 
-    Matching locks onto the inlier targets once the mean error first drops
-    below `threshold`. `matched_target` must be the set the cycle's
-    correspondences index into (the locked subset once locked), so a locked
-    subset only shrinks and keeps its rows in `matched_target`'s order.
-    Inliers that cover every row, in any order, give back `matched_target`
-    itself, so the servo loop's reuse of the last match knows the lock by
-    identity.
+    `target` must be the set the cycle's correspondences index into (the
+    lock once locked), so a lock only shrinks and keeps its rows in the
+    render's order, and a lock that does not shrink keeps its identity, by
+    which the servo loop's reuse of the last match knows it. When to lock,
+    and when to give a lock up, is the servo loop's to decide.
     """
-    if locked is None and mean_error >= threshold:
-        return None
     # the target rows of mutual nearest-neighbour pairs are distinct
     idx = inliers.target_indices
-    if idx.size == len(matched_target):
-        return matched_target
-    return matched_target.subset(np.sort(idx))
+    if idx.size == len(target):
+        return target
+    return target.subset(np.sort(idx))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlConfig, control_law, pseudo_inverse, stack_interaction
-from .errors import InvalidFeatureSet, TooFewCorrespondences
+from .errors import TooFewCorrespondences
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
@@ -42,11 +42,11 @@ class Scene:
 
     Row i is landmark i: `points` (n, 3), float32 unit `descriptors` (n, d),
     `ids` (row i has id i), detection `scores` landmark_scores(seed, i), and
-    the descriptors' float32 squared norms `sq_norms`. The scores are checked
-    in [0, 1] and the rows unit-norm once, here, so that the feature sets
-    the detector gathers from the table need no second check. The first
-    `n_object` rows are the object. Canonical descriptors are drawn in
-    float64 from the seed, normalized and stored as float32.
+    the descriptors' float32 squared norms `sq_norms`. The rows are checked
+    unit-norm once, here, so that the feature sets the detector gathers from
+    the table need no second check. The first `n_object` rows are the
+    object. Canonical descriptors are drawn in float64 from the seed,
+    normalized and stored as float32.
     """
 
     def __init__(
@@ -81,9 +81,7 @@ class Scene:
         # float64, so the two never coexist
         self.descriptors = desc = desc.astype(np.float32)
         self.ids = np.arange(self.points.shape[0], dtype=np.int64)
-        self.scores = scores = landmark_scores(self.seed, self.ids)
-        if not np.all((scores >= 0) & (scores <= 1)):  # NaN fails too
-            raise InvalidFeatureSet("scores must lie in [0, 1]")
+        self.scores = landmark_scores(self.seed, self.ids)
         self.sq_norms = _unit_sq_norms(desc)
         for name in _TABLE:
             getattr(self, name).setflags(write=False)
@@ -279,7 +277,7 @@ class ServoLoop:
         self._pinv: tuple | None = None
         self.pose = cfg.initial_pose
         self.cycle = 0
-        self.locked: FeatureSet | None = None  # tracking lock, see tracking_update
+        self.locked: FeatureSet | None = None  # tracking lock, see step
         self.tracking_disabled = False
         self._detect_rng = np.random.default_rng([cfg.detector.seed, 0xDE])
         self._ransac_rng = np.random.default_rng([cfg.ransac.seed, 0x5C])
@@ -386,10 +384,11 @@ class ServoLoop:
         )
 
         self.pose = integrate_twist(self.pose, twist, cfg.dt)
-        if not self.tracking_disabled:
-            self.locked = tracking_update(
-                self.locked, target, R, mean_error, cfg.tracking_threshold
-            )
+        # the lock forms once the mean error first drops below the threshold,
+        # shrinks to each cycle's inliers whatever the error, and is given up
+        # for the rest of the run when tracked matching starves (above)
+        if not self.tracking_disabled and (tracking_flag or mean_error < cfg.tracking_threshold):
+            self.locked = tracking_update(target, R)
         return record
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featservo import features, simulate
+from featservo import features
 from featservo.errors import InvalidFeatureSet
 from featservo.features import (
     FeatureSet,
@@ -145,8 +145,13 @@ class TestLandmarkScores:
         a = landmark_scores(42, ids)
         b = landmark_scores(42, ids)
         assert np.array_equal(a, b)
-        assert np.all((a >= 0) & (a < 1))
         assert not np.array_equal(a, landmark_scores(43, ids))
+        # (x >> 11) / 2**53 for a 64-bit x: in [0, 1) for any seed and id, so
+        # the scene's table needs no range check
+        ids = np.arange(2**20 + 1)
+        for seed in (42, 0, -1, 2**63 - 1):
+            scores = landmark_scores(seed, ids)
+            assert scores.min() >= 0 and scores.max() < 1
 
     def test_scene_table_holds_the_scores(self):
         scene = make_box_scene(seed=4, n_clutter=30)
@@ -489,17 +494,6 @@ class TestDetectorOutputContract:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         assert fs.sq_norms.dtype == np.float32
         assert fs.sq_norms.tobytes() == built.sq_norms.tobytes()
-
-    @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
-    def test_scene_rejects_scores_outside_the_unit_interval(self, bad, monkeypatch):
-        def scores(seed, ids):
-            out = landmark_scores(seed, ids)
-            out[-1] = bad
-            return out
-
-        monkeypatch.setattr(simulate, "landmark_scores", scores)
-        with pytest.raises(InvalidFeatureSet, match="scores"):
-            make_box_scene(seed=1)
 
     def test_infinite_depth_is_rejected(self, axis_scene, intrinsics, monkeypatch):
         # a landmark at infinite depth projects onto the principal point, in

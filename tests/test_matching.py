@@ -181,9 +181,7 @@ class TestMatchNNMatchesOldFormula:
 
     def test_locked_tracking_target(self):
         target = make_target(40, seed=2)  # its norms carry into the lock
-        locked = tracking_update(
-            None, target, inliers_over(target, [3, 9, 1, 30, 22, 17]), 5.0, 10.0
-        )
+        locked = tracking_update(target, inliers_over(target, [3, 9, 1, 30, 22, 17]))
         cur = feature_set(
             np.random.default_rng(8).uniform(0, 200, (25, 2)),
             noisy_copy(target.descriptors[10:35], 0.05, 8),
@@ -819,33 +817,28 @@ def inliers_over(target, target_indices):
 
 
 class TestTracking:
-    def test_inactive_passthrough_above_threshold(self):
-        target = make_target(10)
-        assert tracking_update(None, target, inliers_over(target, range(10)), 25.0, 10.0) is None
-        # the threshold itself does not lock
-        assert tracking_update(None, target, inliers_over(target, range(10)), 10.0, 10.0) is None
+    """The rows a lock keeps; when to lock is the servo loop's decision,
+    checked in test_simulate's TestTrackingLock."""
 
     def test_activation_then_shrink(self):
         target = make_target(10)
-        locked = tracking_update(None, target, inliers_over(target, range(10)), 5.0, 10.0)
+        locked = tracking_update(target, inliers_over(target, range(10)))
         assert len(locked) == 10
         assert np.array_equal(locked.landmark_ids, target.landmark_ids)
 
-        # next cycle only 8 of the locked targets survive as inliers; a locked
-        # subset shrinks whatever the error
+        # next cycle only 8 of the locked targets survive as inliers
         survivors = [0, 1, 2, 3, 5, 6, 8, 9]
-        shrunk = tracking_update(locked, locked, inliers_over(locked, survivors), 30.0, 10.0)
+        shrunk = tracking_update(locked, inliers_over(locked, survivors))
         assert len(shrunk) == 8
         assert set(shrunk.landmark_ids) == {0, 1, 2, 3, 5, 6, 8, 9}
 
     def test_same_object_for_every_row_and_subsets_keep_row_order(self):
         target = make_target(10)
         for rows in (range(10), [9, 8, 7, 6, 5, 4, 3, 2, 1, 0], [1, 0, *range(2, 10)]):
-            assert tracking_update(None, target, inliers_over(target, rows), 5.0, 10.0) is target
+            assert tracking_update(target, inliers_over(target, rows)) is target
         for rows in ([8, 2, 5, 0], [6, 7, 1, 3, 9], range(9), [9, 8, 7, 6, 5, 4, 3, 2, 1]):
-            locked = tracking_update(None, target, inliers_over(target, rows), 5.0, 10.0)
+            locked = tracking_update(target, inliers_over(target, rows))
             assert locked is not target
             expected = target.subset(sorted(rows))
             assert locked.landmark_ids.tobytes() == expected.landmark_ids.tobytes()
             assert locked.pixels.tobytes() == expected.pixels.tobytes()
-        assert tracking_update(target, target, inliers_over(target, range(10)), 30.0, 10.0) is target

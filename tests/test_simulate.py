@@ -267,7 +267,7 @@ class TestServoStep:
         assert rec.event == "insufficient_features"
         assert np.all(rec.twist == 0)
 
-    def test_tracking_stays_off_after_tracking_lost(self, clean_scene, target_pose):
+    def test_tracking_stays_off_after_tracking_lost(self, clean_scene, target_pose, monkeypatch):
         # near the target every cycle is below the tracking threshold, so
         # tracking would lock again at once if it re-armed
         cfg = offset_config(target_pose, [0.004, 0.002, 0, 0, 0, 0.01])
@@ -276,13 +276,14 @@ class TestServoStep:
 
         loop = ServoLoop(clean_scene, cfg)
         loop.locked = loop.target_full.subset([0, 1])  # too few to seed RANSAC
+        calls = spy(monkeypatch, "tracking_update")
         lost = loop.step()
         assert lost.tracking and lost.event == "tracking_lost"
         assert loop.tracking_disabled and loop.locked is None
         later = [loop.step() for _ in range(6)]
         assert all(r.event == "" and r.mean_error < cfg.tracking_threshold for r in later)
         assert not any(r.tracking for r in later)
-        assert loop.locked is None
+        assert loop.locked is None and not calls
 
 
 def spy_ransac(monkeypatch, fail_calls=()):
@@ -449,6 +450,48 @@ def pair_ids(target, R):
     """The inlier landmark ids in the control law's pair order, ascending
     row of the matched target set."""
     return tuple(target.landmark_ids[np.sort(R.target_indices)].tolist())
+
+
+class TestTrackingLock:
+    """The servo loop decides when the lock forms and shrinks, and gives it
+    up for good (TestServoStep's tracking-lost test); tracking_update only
+    picks the rows it keeps."""
+
+    def test_mean_error_at_the_threshold_does_not_lock(
+        self, clean_scene, target_pose, monkeypatch
+    ):
+        # no mean error is below 0, so this run never locks; the threshold
+        # plays no part before the lock forms, so cycle 1 is the same at any
+        cfg = offset_config(target_pose, [0.01, 0, 0, 0, 0, 0], tracking_threshold=0.0)
+        e1 = ServoLoop(clean_scene, cfg).step().mean_error
+        assert e1 > 0
+        calls = spy(monkeypatch, "tracking_update")
+        for threshold, locks in ((e1, False), (float(np.nextafter(e1, np.inf)), True)):
+            loop = ServoLoop(clean_scene, replace(cfg, tracking_threshold=threshold))
+            before = len(calls)
+            assert loop.step().mean_error == e1
+            assert (loop.locked is not None) is locks
+            assert len(calls) - before == locks
+            assert loop.step().tracking is locks
+
+    def test_a_lock_shrinks_whatever_the_error(self, clean_scene, target_pose, monkeypatch):
+        # no mean error is below -1 px, so only the lock set here makes the
+        # loop track; dropout leaves rows of it unmatched in every cycle
+        cfg = offset_config(target_pose, [0.01, 0, 0, 0, 0, 0], tracking_threshold=-1.0,
+                            detector=SyntheticDetectorConfig(detection_dropout=0.2))
+        calls = spy(monkeypatch, "tracking_update")
+        loop = ServoLoop(clean_scene, cfg)
+        loop.locked = loop.target_full
+        sizes = [len(loop.locked)]
+        for cycle in range(1, 5):
+            target = loop.locked
+            rec = loop.step()
+            assert rec.tracking and rec.event == ""
+            assert len(calls) == cycle and calls[-1][0][0] is target
+            assert loop.locked is calls[-1][1]
+            assert sorted(loop.locked.landmark_ids.tolist()) == list(rec.inlier_target_ids)
+            sizes.append(len(loop.locked))
+        assert all(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 class TestControlCaches:
