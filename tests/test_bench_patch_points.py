@@ -41,7 +41,7 @@ def test_every_stage_is_a_name_of_simulate_from_its_module(harness):
     assert "step" in vars(ServoLoop)
 
 
-def test_cli_experiment_and_matching_names(harness):
+def test_cli_experiment_and_matching_names():
     for attr in ("build_scene", "export_profiles", "run_batch_suite", "write_batch_csv", "main",
                  "write_trace_csv", "write_trace_summary", "run_servo"):
         assert attr in vars(cli), attr
