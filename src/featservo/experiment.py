@@ -28,19 +28,13 @@ from .simulate import (
 )
 
 
-def _rot_x(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
-
-
-def _rot_y(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=float)
-
-
-def _rot_z(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
+def _axis_rotation(axis: int, angle) -> np.ndarray:
+    """Rotation by `angle` (rad) about coordinate axis `axis` (0 x, 1 y, 2 z)."""
+    c, s = np.cos(angle), np.sin(angle)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    R = np.eye(3)
+    R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+    return R
 
 
 def camera_pose_looking_at(position, target_point) -> Pose:
@@ -74,8 +68,8 @@ def sample_offset_pose(
     direction /= np.linalg.norm(direction) + 1e-300
     magnitude = rng.uniform(low, high)
     angles = np.deg2rad([rng.uniform(-b, b) for b in rotation_bounds_deg])
-    R = _rot_x(angles[0]) @ _rot_y(angles[1]) @ _rot_z(angles[2])
-    return Pose(R, magnitude * direction)
+    Rx, Ry, Rz = map(_axis_rotation, range(3), angles)
+    return Pose(Rx @ Ry @ Rz, magnitude * direction)
 
 
 def _run_seed(*parts) -> int:

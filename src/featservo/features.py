@@ -144,11 +144,6 @@ def landmark_scores(seed: int, ids) -> np.ndarray:
     return (x >> np.uint64(11)).astype(np.float64) / float(2**53)
 
 
-def _order_by_score(pixels, scores):
-    """Descending score; ties broken by pixel (u, v) ascending."""
-    return np.lexsort((pixels[:, 1], pixels[:, 0], -scores))
-
-
 def _in_frame(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Per-row mask of pixels inside the image; NaN and inf fall outside."""
     inside = (pixels >= 0) & (pixels < (intrinsics.width, intrinsics.height))
@@ -178,9 +173,10 @@ def synthetic_detect(
 
     Projects every visible landmark (positive depth, in frame, within the
     scene's view cone), applies dropout and pixel/descriptor noise, and
-    records ground-truth landmark ids and depths. Deterministic given
-    (scene, camera, cfg.seed) when no generator is supplied; a caller that
-    passes one generator to every call gets a fresh noise draw each time.
+    records ground-truth landmark ids and depths; rows come highest score
+    first, ties in landmark-id order. Deterministic given (scene, camera,
+    cfg.seed) when no generator is supplied; a caller that passes one
+    generator to every call gets a fresh noise draw each time.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -197,10 +193,10 @@ def synthetic_detect(
         # keypoints pushed out of frame by noise are dropped, never clamped
         inb = _in_frame(pixels, intrinsics)
         idx, pixels = idx[inb], pixels[inb]
-    # ranked highest confidence first; each row of the table is gathered
-    # once, in that order
+    # ranked highest score first by a stable sort, so ties keep scene (landmark
+    # id) order whatever the view; each row is gathered once, in that order
     scores = scene.scores[idx]
-    rank = _order_by_score(pixels, scores)
+    rank = np.argsort(-scores, kind="stable")
     landmarks = idx[rank]
     # each property of the set is checked once, where it is established: the
     # in-frame filters are the pixel check, `_visible`'s depth > 1e-9 the depth
@@ -247,13 +243,13 @@ def render_target(scene, target_pose: Pose, intrinsics: CameraIntrinsics) -> Fea
 
 
 def top_k(fs: FeatureSet, k: int) -> FeatureSet:
-    """Keep the k highest-confidence keypoints (all if fewer)."""
+    """Keep the k highest-confidence keypoints (all if fewer), by a stable
+    sort on descending score: equal scores keep their row order."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k >= len(fs):
         return fs
-    if np.all(fs.scores[:-1] > fs.scores[1:]):
-        # already in score order, as synthetic_detect returns it: the prefix
+    if np.all(fs.scores[:-1] >= fs.scores[1:]):
+        # non-increasing, as synthetic_detect returns it: the sort's prefix
         return fs.subset(slice(k))
-    order = _order_by_score(fs.pixels, fs.scores)
-    return fs.subset(order[:k])
+    return fs.subset(np.argsort(-fs.scores, kind="stable")[:k])

@@ -343,8 +343,7 @@ def tracking_update(target: FeatureSet, inliers: InlierSet) -> FeatureSet:
 
     `target` must be the set the cycle's correspondences index into (the
     lock once locked), so a lock only shrinks and keeps its rows in the
-    render's order, and a lock that does not shrink keeps its identity, by
-    which the servo loop's reuse of the last match knows it. When to lock,
+    render's order; returning `target` itself saves the copy. When to lock,
     and when to give a lock up, is the servo loop's to decide.
     """
     # the target rows of mutual nearest-neighbour pairs are distinct

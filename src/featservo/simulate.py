@@ -262,17 +262,12 @@ class ServoLoop:
         self.cfg = cfg
         self.target_full = render = render_target(scene, cfg.target_pose, cfg.intrinsics)
         # the target side of the control law is fixed for the run, as the
-        # render is: s* and the L* = L(s*, Z*) rows of each rendered landmark,
-        # indexed by landmark id (render ids are object rows); every matched
-        # target set is the render or a subset of it
-        s_star = pixel_to_normalized(render.pixels, cfg.intrinsics)
+        # render is: s* and Z* by landmark id (render ids are object rows);
+        # every matched target set is the render or a subset of it
         self._s_star = np.zeros((scene.n_object, 2))
-        self._s_star[render.landmark_ids] = s_star
-        self._L_star = None  # L(s, Z) instead, built every cycle
-        if not cfg.use_current_interaction:
-            L_star = stack_interaction(s_star, render.depths).reshape(-1, 2, 6)
-            self._L_star = np.zeros((scene.n_object, 2, 6))
-            self._L_star[render.landmark_ids] = L_star
+        self._s_star[render.landmark_ids] = pixel_to_normalized(render.pixels, cfg.intrinsics)
+        self._Z_star = np.zeros(scene.n_object)
+        self._Z_star[render.landmark_ids] = render.depths
         # (the inlier ids in pair order, as bytes, and the pinv of their L* rows)
         self._pinv: tuple | None = None
         self.pose = cfg.initial_pose
@@ -281,14 +276,14 @@ class ServoLoop:
         self.tracking_disabled = False
         self._detect_rng = np.random.default_rng([cfg.detector.seed, 0xDE])
         self._ransac_rng = np.random.default_rng([cfg.ransac.seed, 0x5C])
-        # without descriptor noise a detection's descriptors (and their norms)
-        # are the scene's rows of its landmark ids, and every matched target
-        # set is the render or a lock of it, which keeps its identity while it
-        # does not shrink. Equal current ids and the same target object then
-        # mean equal descriptors on both sides, and match_nn, which reads
-        # nothing else but the pixels it gathers, would return the last pairs
+        # without descriptor noise the descriptors (and their norms) of a
+        # detection and of every target set, the render or a lock of it, are
+        # the scene's rows of their landmark ids, and target pixels are the
+        # render's. Equal ids on both sides, whatever objects hold them, then
+        # mean that match_nn, which reads nothing else but the current pixels
+        # it gathers, would return the last pairs
         self._reuse_match = cfg.detector.descriptor_noise_sigma == 0
-        self._last_match = None  # (target, current ids as bytes, pairs)
+        self._last_match = None  # ((target ids, current ids) as bytes, pairs)
         # RANSAC's prior: the control law shrinks the image error by rho =
         # 1 - gain*dt per cycle, so the last model H (at any scale) moves on to
         # rho*H + (1 - rho)*H[2,2]*I; None on cycle 1 and after a failed cycle
@@ -306,16 +301,16 @@ class ServoLoop:
         tracking_flag = self.locked is not None
         target = self.locked if tracking_flag else self.target_full
 
-        ids_key = current.landmark_ids.tobytes() if self._reuse_match else None
+        key = (target.landmark_ids.tobytes(), current.landmark_ids.tobytes())
         last = self._last_match
-        if last is not None and last[0] is target and last[1] == ids_key:
-            C = last[2]  # the same target rows, so the same target pixels
+        if last is not None and last[0] == key:
+            C = last[1]  # the same target ids, so the same target pixels
             C = CorrespondenceSet(C.current_indices, C.target_indices, C.distances,
                                   current.pixels[C.current_indices], C.target_pixels)
         else:
             C = match_nn(current, target)
             if self._reuse_match:
-                self._last_match = (target, ids_key, C)
+                self._last_match = (key, C)
         try:
             R = ransac_inliers(C, cfg.ransac, rng=self._ransac_rng, prior=self._prior)
         except TooFewCorrespondences:
@@ -354,7 +349,8 @@ class ServoLoop:
         order = R.target_indices.argsort()
         pair_ids = ids[order]
         s = pixel_to_normalized(current_px[order], cfg.intrinsics).reshape(-1)
-        e = s - self._s_star[pair_ids].reshape(-1)
+        s_star = self._s_star[pair_ids]
+        e = s - s_star.reshape(-1)
         tol = cfg.control.svd_tolerance
         if cfg.use_current_interaction:
             Z = current.depths[R.current_indices[order]]
@@ -362,7 +358,7 @@ class ServoLoop:
         elif self._pinv is not None and self._pinv[0] == pair_ids.tobytes():
             L_pinv = self._pinv[1]
         else:
-            L_pinv = pseudo_inverse(self._L_star[pair_ids].reshape(-1, 6), tol)
+            L_pinv = pseudo_inverse(stack_interaction(s_star, self._Z_star[pair_ids]), tol)
             self._pinv = (pair_ids.tobytes(), L_pinv)
         twist = control_law(e, L_pinv, cfg.control)
 

@@ -52,20 +52,22 @@ def test_cli_experiment_and_matching_names():
 
 def test_the_harness_tracer_sees_every_stage_of_a_locking_step(harness, target_pose):
     # at the goal the mean error is 0, below any threshold, so cycle 1 locks;
-    # with the current interaction the step builds L(s, Z) itself
-    cfg = ServoRunConfig(target_pose=target_pose, initial_pose=target_pose,
-                         use_current_interaction=True)
-    loop = ServoLoop(make_box_scene(seed=1).without_clutter(), cfg)
-    tracer = harness.Tracer()
-    try:
-        harness.install_tracer(tracer, harness.RunState(), harness.LayerCounts())
-        loop.step()
-    finally:
-        tracer.restore()
-    assert loop.locked is not None
-    for name, _, _ in harness.STAGES:
-        assert tracer.indices(name).size == 1, name
-    assert simulate.tracking_update is matching.tracking_update  # restored
+    # its step builds L* = L(s*, Z*) on the first pseudo-inverse miss, or
+    # L(s, Z) with the current interaction
+    for use_current_interaction in (False, True):
+        cfg = ServoRunConfig(target_pose=target_pose, initial_pose=target_pose,
+                             use_current_interaction=use_current_interaction)
+        loop = ServoLoop(make_box_scene(seed=1).without_clutter(), cfg)
+        tracer = harness.Tracer()
+        try:
+            harness.install_tracer(tracer, harness.RunState(), harness.LayerCounts())
+            loop.step()
+        finally:
+            tracer.restore()
+        assert loop.locked is not None
+        for name, _, _ in harness.STAGES:
+            assert tracer.indices(name).size == 1, (use_current_interaction, name)
+        assert simulate.tracking_update is matching.tracking_update  # restored
 
 
 def test_a_locking_step_reaches_simulate_tracking_update(target_pose, monkeypatch):

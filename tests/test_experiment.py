@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import tempfile
@@ -7,15 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import asdict, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import featservo.simulate as simulate
 
 from featservo.cli import main
+from featservo.control import ControlConfig
 from featservo.errors import ConfigError, TooFewVisibleLandmarks
 from featservo.experiment import (
+    _DEFAULT_CONFIG,
     BatchResult,
     BatchSpec,
     aggregate_accuracy,
@@ -33,7 +36,9 @@ from featservo.experiment import (
     write_accuracy_csv,
     write_batch_csv,
 )
+from featservo.features import SyntheticDetectorConfig
 from featservo.geometry import Pose, compose, rotation_angle, se3_exp
+from featservo.matching import RansacConfig
 from featservo.simulate import ServoLoop, ServoRunConfig, make_box_scene, run_servo
 
 
@@ -259,6 +264,35 @@ class TestConfig:
         assert cfg["seed"] == 7
         assert cfg["servo"]["dt"] == 0.05
         assert cfg["camera"]["fx"] == 600.0
+
+    def test_defaults_equal_the_builders_defaults(self):
+        # each table holds the defaults of what it builds, as JSON would
+        tables = json.loads(json.dumps(_DEFAULT_CONFIG))
+
+        def fields_of(obj, names=None):
+            values = asdict(obj)
+            return json.loads(json.dumps({k: values[k] for k in names or values}))
+
+        def signature_defaults(f):
+            params = inspect.signature(f).parameters.values()
+            values = {p.name: p.default for p in params if p.default is not p.empty}
+            return json.loads(json.dumps(values))
+
+        assert tables["camera"] == fields_of(simulate.DEFAULT_INTRINSICS)
+        assert tables["scene"] == signature_defaults(make_box_scene)
+        assert tables["control"] == fields_of(ControlConfig())
+        ransac = fields_of(RansacConfig())
+        del ransac["seed"]  # the config seed
+        assert tables["ransac"] == ransac
+        pose = Pose(np.eye(3), (0.0, 0.0, -0.4))
+        servo = ServoRunConfig(target_pose=pose, initial_pose=pose)
+        assert tables["servo"] == {name: getattr(servo, name) for name in tables["servo"]}
+        assert set(tables["servo"]) == {
+            "dt", "tracking_threshold", "success_threshold", "max_cycles", "top_k"
+        }
+        # on purpose: the CLI's detector is noisy, the library's noise-free
+        detector = fields_of(SyntheticDetectorConfig(), tables["detector"])
+        assert set(tables["detector"]) == set(detector) and tables["detector"] != detector
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="servo.dts"):

@@ -9,7 +9,6 @@ from featservo.features import (
     FeatureSet,
     SyntheticDetectorConfig,
     _in_frame,
-    _order_by_score,
     _visible,
     landmark_scores,
     render_target,
@@ -267,6 +266,13 @@ class TestSyntheticDetect:
         assert noise.max() > 0.99 * np.sqrt(3.0) * sigma  # uniform, so it reaches the bound
 
 
+def pixel_order_by_score(pixels, scores):
+    """The detector's old ranking: descending score, ties by pixel (u, v)
+    ascending. It equals the landmark-id tie-break wherever no two scores
+    are equal."""
+    return np.lexsort((pixels[:, 1], pixels[:, 0], -scores))
+
+
 def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
     """synthetic_detect as it was before it gathered each kept row once, with
     float32 descriptors: every visible row noised and normalized, then ranked
@@ -285,7 +291,7 @@ def old_synthetic_detect(scene, camera, intrinsics, cfg, rng):
     inb = np.flatnonzero(_in_frame(noisy_pixels, intrinsics))
     kept_ids, kept_depths = ids[idx], depths[idx]
     scores = landmark_scores(scene.seed, kept_ids[inb])
-    rank = _order_by_score(noisy_pixels[inb], scores)
+    rank = pixel_order_by_score(noisy_pixels[inb], scores)
     rows = inb[rank]
     desc = descriptors[idx]
     if cfg.descriptor_noise_sigma > 0:
@@ -515,14 +521,34 @@ class TestTopK:
         assert len(top_k(make_set(4), 0)) == 0
 
     def test_tie_break_matches_exhaustive_sort(self):
-        pixels = np.array([[5.0, 5.0], [30.0, 7.0], [10.0, 2.0], [50.0, 50.0], [1.0, 1.0]])
-        scores = np.array([0.9, 0.8, 0.8, 0.2, 0.1])
-        fs = FeatureSet(pixels, unit_descriptors(5), scores, (320, 240))
-        out = top_k(fs, 3)
-        # oracle: sort all (score desc, u asc, v asc) and take the head
-        order = sorted(range(5), key=lambda i: (-scores[i], pixels[i, 0], pixels[i, 1]))
-        assert np.array_equal(out.pixels, pixels[order[:3]])
-        assert np.array_equal(out.scores, [0.9, 0.8, 0.8])
+        # the tied rows' pixels run against their row order; the scores come
+        # out of order (sorted), then non-increasing with a tie (the prefix)
+        pixels = np.array([[5.0, 5.0], [30.0, 7.0], [10.0, 2.0], [1.0, 1.0], [50.0, 50.0]])
+        for scores in ([0.1, 0.8, 0.2, 0.8, 0.9], [0.9, 0.8, 0.8, 0.2, 0.1]):
+            fs = FeatureSet(pixels, unit_descriptors(5), scores, (320, 240))
+            out = top_k(fs, 3)
+            # oracle: sort all (score desc, row asc) and take the head
+            order = sorted(range(5), key=lambda i: (-scores[i], i))
+            assert np.array_equal(out.pixels, pixels[order[:3]])
+            assert np.array_equal(out.scores, sorted(scores, reverse=True)[:3])
+        assert np.shares_memory(out.descriptors, fs.descriptors)  # the prefix views
+
+    def test_detector_ties_fall_in_landmark_id_order(self, intrinsics):
+        # two landmarks with one planted score, seen from two views whose
+        # pixel order of the pair differs: a roll by pi about the optical axis
+        # swaps left and right
+        points = [[-0.02, 0.01, 0.0], [0.03, 0.0, 0.0], [0.02, -0.01, 0.0], [-0.03, 0.0, 0.0]]
+        scene = Scene(points, np.zeros((0, 3)), seed=3, descriptor_dim=16)
+        scene.scores = np.array([0.3, 0.7, 0.9, 0.7])
+        roll = np.diag([-1.0, -1.0, 1.0])
+        cfg = SyntheticDetectorConfig()
+        orders = []
+        for rotation in (np.eye(3), roll):
+            fs = synthetic_detect(scene, Pose(rotation, (0.0, 0.0, -0.4)), intrinsics, cfg)
+            assert fs.landmark_ids.tolist() == [2, 1, 3, 0]
+            tied = fs.pixels[1:3, 0]
+            orders.append(tied[0] < tied[1])
+        assert orders[0] != orders[1]
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -537,7 +563,8 @@ class TestTopK:
         fs = synthetic_detect(scene, camera, intrinsics, SyntheticDetectorConfig(seed=1))
         assert len(fs) > k
         out = top_k(fs, k)
-        gathered = fs.subset(_order_by_score(fs.pixels, fs.scores)[:k])
+        # oracle: (score desc, row asc)
+        gathered = fs.subset(np.lexsort((np.arange(len(fs)), -fs.scores))[:k])
         for field in ("pixels", "descriptors", "scores", "depths", "landmark_ids"):
             a, b = getattr(out, field), getattr(gathered, field)
             assert a.dtype == b.dtype and a.shape == b.shape, field

@@ -13,7 +13,6 @@ from featservo.features import (
     FeatureSet,
     SyntheticDetectorConfig,
     _in_frame,
-    _order_by_score,
     synthetic_detect,
 )
 from featservo.geometry import (
@@ -131,6 +130,12 @@ class TestRenderTarget:
             render_target(box_scene, looking_away, intrinsics)
 
 
+def pixel_order_by_score(pixels, scores):
+    """The old ranking: descending score, ties by pixel (u, v) ascending;
+    the landmark-id tie-break's order wherever no two scores are equal."""
+    return np.lexsort((pixels[:, 1], pixels[:, 0], -scores))
+
+
 def old_render_target(scene, target_pose, intrinsics):
     """render_target as it was before it became the noise-free detector over
     the object rows: its own visibility, ranking and row gathering."""
@@ -143,7 +148,7 @@ def old_render_target(scene, target_pose, intrinsics):
     if idx.size < 3:
         raise TooFewVisibleLandmarks(f"only {idx.size} object landmarks visible from target pose")
     scores = scene.scores[ids[idx]]
-    rank = _order_by_score(pixels[idx], scores)
+    rank = pixel_order_by_score(pixels[idx], scores)
     rows, scores = idx[rank], scores[rank]
     return FeatureSet(
         pixels[rows],
@@ -495,11 +500,11 @@ class TestTrackingLock:
 
 
 class TestControlCaches:
-    """The target side of the control law, s* and L* = L(s*, Z*), is
-    computed once per run, from the render, into a table read by landmark
-    id. pinv(L*) is computed once per change of the inlier ids in pair
-    order, whatever target set they were matched in. use_current_interaction
-    builds L(s, Z) every cycle and no L* rows."""
+    """The target side of the control law, s* and Z*, is computed once per
+    run, from the render, into a table read by landmark id. The L* =
+    L(s*, Z*) rows and their pinv are built once per change of the inlier
+    ids in pair order, whatever target set they were matched in.
+    use_current_interaction builds L(s, Z) every cycle and no L* rows."""
 
     def from_scratch(self, cfg, R, target, current):
         """-gain * pinv(L) @ (s - s*) of the inlier pairs R, in R's order."""
@@ -557,16 +562,25 @@ class TestControlCaches:
         ransac = spy_ransac(monkeypatch)
         currents = spy(monkeypatch, "top_k")
         calls = spy(monkeypatch, "stack_interaction")
+        pinv = spy(monkeypatch, "pseudo_inverse")
         cfg = dropout_box_config(target_pose, seed)
         loop = ServoLoop(box_scene, cfg)
-        # one s* and L* build per run, at construction, on the render
-        assert len(calls) == 1
-        (s_star, depths), _ = calls[0]
+        # no L* rows at construction
+        assert len(calls) == 0
         render = loop.target_full
-        assert depths.tobytes() == render.depths.tobytes()
-        assert s_star.tobytes() == pixel_to_normalized(render.pixels, cfg.intrinsics).tobytes()
         records, targets = step_to_end(loop)
-        assert len(calls) == 1
+        # one L* build per pseudo-inverse miss, on the render's s* and Z* of
+        # the pair ids, and the pseudo-inverse of what it built
+        keys = [pair_ids(t, R) for t, (_, R) in zip(targets, ransac) if R is not None]
+        missed = keys[:1] + [b for a, b in zip(keys, keys[1:]) if a != b]
+        assert len(calls) == len(pinv) == len(missed) > 1
+        row = {i: r for r, i in enumerate(render.landmark_ids.tolist())}
+        render_s_star = pixel_to_normalized(render.pixels, cfg.intrinsics)
+        for ((s_star, depths), L), ((L_arg, _), _), ids in zip(calls, pinv, missed):
+            rows = [row[i] for i in ids]
+            assert s_star.tobytes() == render_s_star[rows].tobytes()
+            assert depths.tobytes() == render.depths[rows].tobytes()
+            assert L_arg is L
         assert records[-1].mean_error < cfg.success_threshold
         assert [R is not None for _, R in ransac] == [r.event == "" for r in records]
         changes = [0] + [
@@ -711,8 +725,8 @@ def same_value(a, b) -> bool:
 
 class TestMatchReuse:
     """Without descriptor noise the loop reuses its last match while the
-    detection's landmark ids repeat and the matched target set is the same
-    object; it calls simulate.match_nn otherwise."""
+    landmark ids of the detection and of the matched target set repeat,
+    whatever objects hold them; it calls simulate.match_nn otherwise."""
 
     @staticmethod
     def run(scene, cfg, monkeypatch, reuse=True):
@@ -789,13 +803,25 @@ class TestMatchReuse:
         loop.step()
         assert len(calls) == 2
 
-    def test_new_target_object_misses(self, box_scene, target_pose, monkeypatch):
-        loop, calls = self.still_loop(box_scene, target_pose, monkeypatch)
-        loop.step()
-        # equal rows in a new object
-        loop.target_full = copy = loop.target_full.subset(slice(None))
-        loop.step()
-        assert len(calls) == 2 and calls[1] is copy
+    def test_new_target_object_with_equal_ids_hits(self, box_scene, target_pose, monkeypatch):
+        records = []
+        for reuse in (True, False):
+            loop, calls = self.still_loop(box_scene, target_pose, monkeypatch)
+            loop._reuse_match &= reuse
+            loop.step()
+            # equal rows in a new object
+            loop.target_full = copy = loop.target_full.subset(slice(None))
+            records.append(loop.step())
+            if reuse:
+                assert len(calls) == 1
+                # the copy without its last row
+                loop.target_full = smaller = copy.subset(np.arange(len(copy) - 1))
+                loop.step()
+                assert len(calls) == 2 and calls[1] is smaller
+            monkeypatch.undo()
+        # the hit gives the record a fresh match_nn gives
+        for f in fields(CycleRecord):
+            assert same_value(getattr(records[0], f.name), getattr(records[1], f.name)), f.name
 
 
 class TestTraceOutput:
