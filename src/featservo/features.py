@@ -13,19 +13,17 @@ from .errors import InvalidFeatureSet, TooFewVisibleLandmarks
 from .geometry import CameraIntrinsics, Pose, project_many
 
 
-def _sq_norms(descriptors: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Squared row norms of float32 descriptors, accumulated in `dtype`."""
+def _row_norms(descriptors: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Row norms of float32 descriptors, accumulated in `dtype`."""
     d = descriptors.astype(dtype, copy=False)
-    return np.einsum("ij,ij->i", d, d)
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
-def _unit_sq_norms(descriptors: np.ndarray) -> np.ndarray:
-    """The rows' squared norms as float32, after checking that each row's
-    norm, accumulated in float64, is within 1e-6 of 1 (NaN fails)."""
-    sq_norms = _sq_norms(descriptors)
-    if not np.all(np.abs(np.sqrt(sq_norms) - 1.0) <= 1e-6):
+def _check_unit_rows(descriptors: np.ndarray) -> None:
+    """Raise unless each row's norm, accumulated in float64, is within 1e-6
+    of 1 (NaN fails)."""
+    if not np.all(np.abs(_row_norms(descriptors) - 1.0) <= 1e-6):
         raise InvalidFeatureSet("descriptors must be finite and unit norm")
-    return sq_norms.astype(np.float32)
 
 
 class FeatureSet:
@@ -36,9 +34,7 @@ class FeatureSet:
     ids only for simulated detections.
     """
 
-    __slots__ = (
-        "pixels", "descriptors", "scores", "image_size", "depths", "landmark_ids", "sq_norms"
-    )
+    __slots__ = ("pixels", "descriptors", "scores", "image_size", "depths", "landmark_ids")
 
     def __init__(self, pixels, descriptors, scores, image_size, depths=None, landmark_ids=None):
         pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
@@ -57,7 +53,7 @@ class FeatureSet:
                 raise InvalidFeatureSet("keypoint pixel outside image bounds")
             if not np.all((scores >= 0) & (scores <= 1)):
                 raise InvalidFeatureSet("scores must lie in [0, 1]")
-        sq_norms = _unit_sq_norms(descriptors)
+        _check_unit_rows(descriptors)
         if depths is not None:
             depths = np.asarray(depths, dtype=float).reshape(-1)
             if depths.size != n:
@@ -68,22 +64,17 @@ class FeatureSet:
             landmark_ids = np.asarray(landmark_ids, dtype=np.int64).reshape(-1)
             if landmark_ids.size != n:
                 raise InvalidFeatureSet("landmark id count != keypoint count")
-        self._freeze(
-            pixels.reshape(n, 2), descriptors, scores, (w, h), depths, landmark_ids, sq_norms
-        )
+        self._freeze(pixels.reshape(n, 2), descriptors, scores, (w, h), depths, landmark_ids)
 
-    def _freeze(self, pixels, descriptors, scores, image_size, depths, landmark_ids, sq_norms):
-        """Store already-checked arrays, read-only, and return the set.
-        `sq_norms` are the descriptors' squared norms as float32, shared with
-        matching."""
+    def _freeze(self, pixels, descriptors, scores, image_size, depths, landmark_ids):
+        """Store already-checked arrays, read-only, and return the set."""
         self.pixels = pixels
         self.descriptors = descriptors
         self.scores = scores
         self.image_size = image_size
         self.depths = depths
         self.landmark_ids = landmark_ids
-        self.sq_norms = sq_norms
-        for a in (pixels, descriptors, scores, depths, landmark_ids, sq_norms):
+        for a in (pixels, descriptors, scores, depths, landmark_ids):
             if a is not None:
                 a.setflags(write=False)
         return self
@@ -106,7 +97,6 @@ class FeatureSet:
             self.image_size,
             None if self.depths is None else self.depths[idx],
             None if self.landmark_ids is None else self.landmark_ids[idx],
-            self.sq_norms[idx],
         )
 
 
@@ -207,9 +197,7 @@ def synthetic_detect(
     if not np.all(depths < np.inf):
         raise InvalidFeatureSet("depths must be positive and finite")
     desc = scene.descriptors[landmarks]
-    if cfg.descriptor_noise_sigma == 0:
-        sq_norms = scene.sq_norms[landmarks]
-    else:
+    if cfg.descriptor_noise_sigma > 0:
         # one generator byte per component, rows in returned order: byte b
         # adds (b - 127.5)*delta, zero-mean with variance sigma**2 exactly.
         # Norms accumulated in float32 renormalize rows to within 2.1e-7 of
@@ -224,11 +212,11 @@ def synthetic_detect(
             step = np.subtract(noise.reshape(m, d), np.float32(127.5), dtype=np.float32)
             step *= delta
             desc += step
-            desc /= np.sqrt(_sq_norms(desc, np.float32))[:, None]
-        sq_norms = _unit_sq_norms(desc)
+            desc /= _row_norms(desc, np.float32)[:, None]
+        _check_unit_rows(desc)
     return FeatureSet.__new__(FeatureSet)._freeze(
         pixels[rank], desc, scores[rank], (intrinsics.width, intrinsics.height),
-        depths, scene.ids[landmarks], sq_norms,
+        depths, scene.ids[landmarks],
     )
 
 

@@ -45,12 +45,11 @@ class CorrespondenceSet:
 
     current_indices: np.ndarray  # (n,) into the current FeatureSet
     target_indices: np.ndarray  # (n,) into the target FeatureSet
-    distances: np.ndarray  # (n,) float32 descriptor distances
     current_pixels: np.ndarray  # (n, 2)
     target_pixels: np.ndarray  # (n, 2)
 
     def __len__(self) -> int:
-        return self.distances.size
+        return self.current_indices.size
 
 
 @dataclass(frozen=True)
@@ -67,39 +66,30 @@ def match_nn(current: FeatureSet, target: FeatureSet) -> CorrespondenceSet:
 
     A pair survives only if each side is the other's nearest neighbour, so
     no target index appears twice. Equal distances resolve to the lowest
-    index. The indices and distances depend on the descriptors (and their
-    squared norms) alone.
+    index. The pairs come in ascending distance, equal distances in current
+    index order. The indices depend on the descriptors alone.
     """
     if len(current) == 0 or len(target) == 0:
-        return CorrespondenceSet(
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.float32),
-            np.zeros((0, 2)),
-            np.zeros((0, 2)),
-        )
+        none = np.zeros(0, dtype=np.int64)
+        return CorrespondenceSet(none, none, np.zeros((0, 2)), np.zeros((0, 2)))
 
-    # float32 squared distances via gemm, in place: -2G + (|a|^2 + |b|^2)
-    # takes the same rounding steps as (|a|^2 + |b|^2) - 2G; argmin picks the
-    # lowest index on ties
+    # float32 squared distances of unit rows via gemm, in place:
+    # |a - b|^2 = 2 - 2a.b; argmin picks the lowest index on ties
     d2 = current.descriptors @ target.descriptors.T
     d2 *= -2.0
-    d2 += current.sq_norms[:, None] + target.sq_norms[None, :]
+    d2 += 2.0
     np.maximum(d2, 0.0, out=d2)
     nearest_tgt = np.argmin(d2, axis=1)
     nearest_cur = np.argmin(d2, axis=0)
     keep = nearest_cur[nearest_tgt] == np.arange(len(current))
     cur_idx = np.flatnonzero(keep).astype(np.int64, copy=False)
     tgt_idx = nearest_tgt[cur_idx].astype(np.int64, copy=False)
-    dist = np.sqrt(d2[cur_idx, tgt_idx])
-    order = np.argsort(dist, kind="stable")
-    cur_idx, tgt_idx, dist = cur_idx[order], tgt_idx[order], dist[order]
+    order = np.argsort(d2[cur_idx, tgt_idx], kind="stable")
+    cur_idx, tgt_idx = cur_idx[order], tgt_idx[order]
     # read-only, as the servo loop may hand them out again
-    for a in (cur_idx, tgt_idx, dist):
-        a.setflags(write=False)
-    return CorrespondenceSet(
-        cur_idx, tgt_idx, dist, current.pixels[cur_idx], target.pixels[tgt_idx]
-    )
+    cur_idx.setflags(write=False)
+    tgt_idx.setflags(write=False)
+    return CorrespondenceSet(cur_idx, tgt_idx, current.pixels[cur_idx], target.pixels[tgt_idx])
 
 
 def _normalize_points(pts: np.ndarray):
@@ -230,7 +220,10 @@ def _one_sided_inliers(H, src, dst, threshold):
     q = src @ H[..., :2].swapaxes(-1, -2) + H[..., None, :, 2]
     w = q[..., 2]
     r = q[..., :2] - dst * w[..., None]
-    return (r[..., 0] ** 2 + r[..., 1] ** 2 <= threshold**2 * w**2) & (w > 0)
+    # a huge threshold squares to inf, and inf * 0 is NaN: both compare as
+    # they should, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (r[..., 0] ** 2 + r[..., 1] ** 2 <= threshold * threshold * w**2) & (w > 0)
 
 
 def _iteration_bound(count: int, n: int, cfg: RansacConfig) -> int:
@@ -323,18 +316,11 @@ def ransac_inliers(
     if best_mask is None or best_count < MIN_SAMPLE:
         raise TooFewCorrespondences("no non-degenerate consensus found")
     if best_count == n:  # every pair holds: C's own arrays, not gathered again
-        return InlierSet(C.current_indices, C.target_indices, C.distances, src, dst,
+        return InlierSet(C.current_indices, C.target_indices, src, dst,
                          indices=np.arange(n), model=best_model)
     keep = np.flatnonzero(best_mask)
-    return InlierSet(
-        C.current_indices[keep],
-        C.target_indices[keep],
-        C.distances[keep],
-        src[keep],
-        dst[keep],
-        indices=keep,
-        model=best_model,
-    )
+    return InlierSet(C.current_indices[keep], C.target_indices[keep], src[keep], dst[keep],
+                     indices=keep, model=best_model)
 
 
 def tracking_update(target: FeatureSet, inliers: InlierSet) -> FeatureSet:

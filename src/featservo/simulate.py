@@ -17,7 +17,7 @@ from .errors import TooFewCorrespondences
 from .features import (
     FeatureSet,
     SyntheticDetectorConfig,
-    _unit_sq_norms,
+    _check_unit_rows,
     landmark_scores,
     render_target,
     synthetic_detect,
@@ -29,7 +29,7 @@ from .matching import CorrespondenceSet, RansacConfig, match_nn, ransac_inliers,
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=600.0, fy=600.0, cx=160.0, cy=120.0, width=320, height=240)
 
 _INSUFFICIENT_LIMIT = 10  # consecutive starved cycles before giving up
-_TABLE = ("points", "descriptors", "ids", "scores", "sq_norms")  # Scene's per-row arrays
+_TABLE = ("points", "descriptors", "ids", "scores")  # Scene's per-row arrays
 # scene sizes, camera distances and translation offsets past 100 m are
 # errors: no view of the object is left there, and the builders overflow
 MAX_LENGTH_M = 100.0
@@ -41,12 +41,11 @@ class Scene:
     visible only in current views.
 
     Row i is landmark i: `points` (n, 3), float32 unit `descriptors` (n, d),
-    `ids` (row i has id i), detection `scores` landmark_scores(seed, i), and
-    the descriptors' float32 squared norms `sq_norms`. The rows are checked
-    unit-norm once, here, so that the feature sets the detector gathers from
-    the table need no second check. The first `n_object` rows are the
-    object. Canonical descriptors are drawn in float64 from the seed,
-    normalized and stored as float32.
+    `ids` (row i has id i) and detection `scores` landmark_scores(seed, i).
+    The descriptor rows are checked unit-norm once, here, so that the feature
+    sets the detector gathers from the table need no second check. The first
+    `n_object` rows are the object. Canonical descriptors are drawn in
+    float64 from the seed, normalized and stored as float32.
     """
 
     def __init__(
@@ -77,12 +76,12 @@ class Scene:
         rng = np.random.default_rng(self.seed)
         desc = rng.normal(size=(self.points.shape[0], self.descriptor_dim))
         desc /= np.linalg.norm(desc, axis=1, keepdims=True)
-        # the float64 draw is freed before the norms copy the float32 rows to
-        # float64, so the two never coexist
+        # the float64 draw is freed before the check copies the float32 rows
+        # to float64, so the two never coexist
         self.descriptors = desc = desc.astype(np.float32)
         self.ids = np.arange(self.points.shape[0], dtype=np.int64)
         self.scores = landmark_scores(self.seed, self.ids)
-        self.sq_norms = _unit_sq_norms(desc)
+        _check_unit_rows(desc)
         for name in _TABLE:
             getattr(self, name).setflags(write=False)
 
@@ -276,12 +275,12 @@ class ServoLoop:
         self.tracking_disabled = False
         self._detect_rng = np.random.default_rng([cfg.detector.seed, 0xDE])
         self._ransac_rng = np.random.default_rng([cfg.ransac.seed, 0x5C])
-        # without descriptor noise the descriptors (and their norms) of a
-        # detection and of every target set, the render or a lock of it, are
-        # the scene's rows of their landmark ids, and target pixels are the
-        # render's. Equal ids on both sides, whatever objects hold them, then
-        # mean that match_nn, which reads nothing else but the current pixels
-        # it gathers, would return the last pairs
+        # without descriptor noise the descriptors of a detection and of every
+        # target set, the render or a lock of it, are the scene's rows of
+        # their landmark ids, and target pixels are the render's. Equal ids on
+        # both sides, whatever objects hold them, then mean that match_nn,
+        # which reads nothing else but the current pixels it gathers, would
+        # return the last pairs
         self._reuse_match = cfg.detector.descriptor_noise_sigma == 0
         self._last_match = None  # ((target ids, current ids) as bytes, pairs)
         # RANSAC's prior: the control law shrinks the image error by rho =
@@ -305,7 +304,7 @@ class ServoLoop:
         last = self._last_match
         if last is not None and last[0] == key:
             C = last[1]  # the same target ids, so the same target pixels
-            C = CorrespondenceSet(C.current_indices, C.target_indices, C.distances,
+            C = CorrespondenceSet(C.current_indices, C.target_indices,
                                   current.pixels[C.current_indices], C.target_pixels)
         else:
             C = match_nn(current, target)
@@ -400,7 +399,7 @@ def run_servo(scene: Scene, cfg: ServoRunConfig) -> ServoTrace:
         if np.isfinite(rec.mean_error) and rec.mean_error < cfg.success_threshold:
             status = "Converged"
             break
-        if rec.event == "insufficient_features":
+        if rec.event:  # "tracking_lost" cycles starved too
             starved += 1
             if starved >= _INSUFFICIENT_LIMIT:
                 status = "InsufficientFeatures"

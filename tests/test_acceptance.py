@@ -231,7 +231,7 @@ def test_criterion_5_ransac_recovery():
             [np.cos(angles), np.sin(angles)]
         )
         C = CorrespondenceSet(
-            np.arange(n), np.arange(n), np.zeros(n), src, dst
+            np.arange(n), np.arange(n), src, dst
         )
         R = ransac_inliers(C, RansacConfig(inlier_threshold=2.0, confidence=0.999,
                                            seed=seed))

@@ -663,6 +663,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: descriptors must be finite and unit norm\n"
 
+    def test_huge_inlier_threshold_runs(self, tmp_path, capsys):
+        # finite, so check passes; its square overflows to inf, which every
+        # pair is within, with no exception and (under the RuntimeWarning
+        # filter) no warning
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"ransac": {"inlier_threshold": 1e300}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command", ["check", "run", "accuracy", "batch"])
     def test_negative_seed_override_rejected(self, command, tiny_config, tmp_path, capsys):
         argv = [command, "--config", tiny_config, "--seed", "-1", "--out", str(tmp_path / "out")]

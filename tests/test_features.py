@@ -112,7 +112,6 @@ class TestFeatureSet:
             assert a.shape == b.shape and a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable
-        assert sub.sq_norms.tobytes() == built.sq_norms.tobytes()
 
     def test_subset_of_subset(self):
         fs = make_set(8, with_depths=True)
@@ -120,10 +119,6 @@ class TestFeatureSet:
         direct = fs.subset([3, 7])
         for a, b in zip(self._fields(inner), self._fields(direct)):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
-        # the squared norms, accumulated in float64 once, travel with the rows
-        expected = np.sum(direct.descriptors.astype(np.float64) ** 2, axis=1)
-        assert inner.sq_norms.tobytes() == expected.astype(np.float32).tobytes()
-        assert not inner.sq_norms.flags.writeable
         with pytest.raises(ValueError):
             inner.pixels[0, 0] = 1.0
 
@@ -251,7 +246,7 @@ class TestSyntheticDetect:
         # row plus the noise: zero mean, variance sigma**2, within sqrt(3)*sigma
         # (the byte levels reach 127.5*sigma*sqrt(12/65535) = 1.7254*sigma)
         scene = make_box_scene(seed=10)
-        monkeypatch.setattr(features, "_sq_norms", lambda d, dtype=None: np.ones(len(d)))
+        monkeypatch.setattr(features, "_row_norms", lambda d, dtype=None: np.ones(len(d)))
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
         sigma = 0.5
         cfg = SyntheticDetectorConfig(descriptor_noise_sigma=sigma)
@@ -377,27 +372,18 @@ class TestFloat32Descriptors:
         assert fs.descriptors.tobytes() == table[fs.landmark_ids].tobytes()
 
     def test_table_norms_are_computed_once_and_gathered(self, intrinsics, monkeypatch):
-        scene = make_box_scene(seed=3, n_clutter=40)
-        table = scene.descriptors
-        expected = np.einsum("ij,ij->i", *2 * (table.astype(np.float64),)).astype(np.float32)
-        assert scene.sq_norms.tobytes() == expected.tobytes()
-        assert not scene.sq_norms.flags.writeable
-        # noise-free detection and the target render gather the table's norms:
-        # the same bytes as a set built, and checked, from their rows
+        # the scene checks its rows' norms once; noise-free detection and the
+        # target render gather checked rows and compute no norm again
         einsum, calls = np.einsum, []
         monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(1) or einsum(*a, **kw))
+        scene = make_box_scene(seed=3, n_clutter=40)
+        assert calls == [1]
         camera = Pose(np.eye(3), (0.01, 0.0, -0.4))
         detected = synthetic_detect(scene, camera, intrinsics, SyntheticDetectorConfig())
-        assert calls == []
-        # the render's scene without clutter shares the table's norms too
         rendered = render_target(scene, camera, intrinsics)
-        assert calls == []
-        monkeypatch.undo()
+        assert calls == [1]
         for fs in (detected, rendered):
-            built = FeatureSet(fs.pixels, fs.descriptors, fs.scores, fs.image_size,
-                               depths=fs.depths, landmark_ids=fs.landmark_ids)
-            assert fs.sq_norms.tobytes() == built.sq_norms.tobytes()
-            assert fs.sq_norms.tobytes() == scene.sq_norms[fs.landmark_ids].tobytes()
+            assert fs.descriptors.tobytes() == scene.descriptors[fs.landmark_ids].tobytes()
 
     def test_table_rows_are_checked_when_the_scene_is_built(self):
         # zero-width rows have norm 0
@@ -437,21 +423,19 @@ class TestFloat32Descriptors:
         current = synthetic_detect(scene, Pose(np.eye(3), (0.01, 0.0, -0.38)), intrinsics, cfg)
         empty = current.subset([])
         for fs in (target, current, empty, top_k(current, 10)):
-            assert fs.descriptors.dtype == fs.sq_norms.dtype == np.float32
+            assert fs.descriptors.dtype == np.float32
         # every (n, m) matrix match_nn takes an argmin of is float32
         argmin, seen = np.argmin, []
         monkeypatch.setattr(np, "argmin", lambda a, **kw: seen.append(a.dtype) or argmin(a, **kw))
         C = match_nn(current, target)
         monkeypatch.undo()
         assert len(C) > 0 and seen == [np.float32, np.float32]
-        assert C.distances.dtype == np.float32
-        assert match_nn(empty, target).distances.dtype == np.float32
 
     def test_noise_free_match_reuse_hits(self, intrinsics):
         # the invariant the servo loop's match reuse rests on: without
-        # descriptor noise a detection's descriptors and their norms are the
-        # scene's rows of its landmark ids, whatever else is noisy, so equal
-        # ids mean equal descriptors
+        # descriptor noise a detection's descriptors are the scene's rows of
+        # its landmark ids, whatever else is noisy, so equal ids mean equal
+        # descriptors
         scene = make_box_scene(seed=9, n_clutter=40)
         camera = Pose(np.eye(3), (0.0, 0.0, -0.4))
         cfg = SyntheticDetectorConfig(pixel_noise_sigma=0.3, detection_dropout=0.1)
@@ -460,7 +444,6 @@ class TestFloat32Descriptors:
         for fs in (first, synthetic_detect(scene, camera, intrinsics, cfg, rng)):
             assert len(fs) > 0
             assert fs.descriptors.tobytes() == scene.descriptors[fs.landmark_ids].tobytes()
-            assert fs.sq_norms.tobytes() == scene.sq_norms[fs.landmark_ids].tobytes()
         target = render_target(scene, camera, intrinsics)
         assert target.descriptors.tobytes() == scene.descriptors[target.landmark_ids].tobytes()
 
@@ -498,8 +481,6 @@ class TestDetectorOutputContract:
         assert built.image_size == fs.image_size
         for a, b in zip(TestFeatureSet._fields(fs), TestFeatureSet._fields(built)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert fs.sq_norms.dtype == np.float32
-        assert fs.sq_norms.tobytes() == built.sq_norms.tobytes()
 
     def test_infinite_depth_is_rejected(self, axis_scene, intrinsics, monkeypatch):
         # a landmark at infinite depth projects onto the principal point, in

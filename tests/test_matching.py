@@ -40,7 +40,7 @@ def pair_set(src, dst):
     src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
     n = src.shape[0]
     idx = np.arange(n, dtype=np.int64)
-    return CorrespondenceSet(idx, idx, np.zeros(n), src, dst)
+    return CorrespondenceSet(idx, idx, src, dst)
 
 
 def known_homography():
@@ -68,8 +68,6 @@ class TestMatchNN:
         assert len(C) == 6
         assert np.array_equal(np.sort(C.current_indices), np.arange(6))
         assert np.array_equal(C.current_indices, C.target_indices)
-        # sqrt of the float32 gemm's rounding, a few epsilon
-        assert np.all(C.distances < np.sqrt(32 * np.finfo(np.float32).eps))
 
     def test_orthogonal_descriptors_match_exactly(self):
         desc = np.eye(3, 8)  # three orthogonal unit descriptors
@@ -105,7 +103,8 @@ class TestMatchNN:
         tgt = feature_set(np.random.default_rng(7).uniform(0, 200, (20, 2)),
                           unit_descriptors(20, seed=6))
         C = match_nn(cur, tgt)
-        assert np.all(np.diff(C.distances) >= 0)
+        d2 = brute_force_sq_distances(cur, tgt)[C.current_indices, C.target_indices]
+        assert np.all(np.diff(d2) >= -1e-6)  # the float32 gemm's rounding
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -117,31 +116,25 @@ class TestMatchNN:
         assert len(np.unique(C.target_indices)) == len(C)
 
 
-def sq_norms(desc):
-    """float32 squared row norms, accumulated in float64."""
-    return np.sum(desc.astype(np.float64) ** 2, axis=1).astype(np.float32)
+def brute_force_sq_distances(current, target):
+    """float64 |a - b|^2 of every (current, target) row pair, term by term."""
+    a = current.descriptors.astype(np.float64)
+    b = target.descriptors.astype(np.float64)
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
-def old_match_nn(current, target):
-    """match_nn as it was before the cached norms and the in-place d2."""
-    cur, tgt = current.descriptors, target.descriptors
-    d2 = (
-        sq_norms(cur)[:, None]
-        + sq_norms(tgt)[None, :]
-        - 2.0 * (cur @ tgt.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
+def brute_force_match(current, target):
+    """Mutual nearest neighbours by float64 brute force: each argmin takes
+    the lowest index on ties, and the pairs come in ascending distance,
+    ties in current index order. Returns the indices and the squared
+    distances of all row pairs."""
+    d2 = brute_force_sq_distances(current, target)
     nearest_tgt = np.argmin(d2, axis=1)
     nearest_cur = np.argmin(d2, axis=0)
-    keep = nearest_cur[nearest_tgt] == np.arange(len(current))
-    cur_idx = np.flatnonzero(keep).astype(np.int64)
-    tgt_idx = nearest_tgt[cur_idx].astype(np.int64)
-    dist = np.sqrt(d2[cur_idx, tgt_idx])
-    order = np.argsort(dist, kind="stable")
-    cur_idx, tgt_idx, dist = cur_idx[order], tgt_idx[order], dist[order]
-    return CorrespondenceSet(
-        cur_idx, tgt_idx, dist, current.pixels[cur_idx], target.pixels[tgt_idx]
-    )
+    cur_idx = np.flatnonzero(nearest_cur[nearest_tgt] == np.arange(len(current)))
+    tgt_idx = nearest_tgt[cur_idx]
+    order = np.argsort(d2[cur_idx, tgt_idx], kind="stable")
+    return cur_idx[order], tgt_idx[order], d2
 
 
 def noisy_copy(desc, sigma, seed):
@@ -150,16 +143,25 @@ def noisy_copy(desc, sigma, seed):
 
 
 class TestMatchNNMatchesOldFormula:
-    """The cached norms and in-place d2 give the old correspondence bytes."""
+    """match_nn's float32 2 - 2a.b on unit rows against the formula it
+    stands for, |a - b|^2 by float64 brute force: the same pairs, in the
+    same order. Pairs at exactly one distance, as duplicated rows make,
+    may come in any order among themselves, as float32 rounding parts
+    them."""
 
     @staticmethod
     def assert_same(cur, tgt):
-        new, old = match_nn(cur, tgt), old_match_nn(cur, tgt)
-        for field in ("current_indices", "target_indices", "distances",
-                      "current_pixels", "target_pixels"):
-            a, b = getattr(new, field), getattr(old, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-        return new
+        C = match_nn(cur, tgt)
+        cur_idx, tgt_idx, d2 = brute_force_match(cur, tgt)
+        assert C.current_indices.dtype == C.target_indices.dtype == np.int64
+        pairs = sorted(zip(C.current_indices.tolist(), C.target_indices.tolist()))
+        assert pairs == sorted(zip(cur_idx.tolist(), tgt_idx.tolist()))
+        # the order, up to exact ties: the pairs' distances read in
+        # match_nn's order are the brute force's, ascending
+        assert d2[C.current_indices, C.target_indices].tobytes() == d2[cur_idx, tgt_idx].tobytes()
+        assert C.current_pixels.tobytes() == cur.pixels[C.current_indices].tobytes()
+        assert C.target_pixels.tobytes() == tgt.pixels[C.target_indices].tobytes()
+        return C
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("d", [32, 256])
@@ -180,7 +182,7 @@ class TestMatchNNMatchesOldFormula:
         self.assert_same(tgt, cur)
 
     def test_locked_tracking_target(self):
-        target = make_target(40, seed=2)  # its norms carry into the lock
+        target = make_target(40, seed=2)
         locked = tracking_update(target, inliers_over(target, [3, 9, 1, 30, 22, 17]))
         cur = feature_set(
             np.random.default_rng(8).uniform(0, 200, (25, 2)),
@@ -190,9 +192,9 @@ class TestMatchNNMatchesOldFormula:
 
 
 class TestMatchMemo:
-    """The premise of the servo loop's match reuse: match_nn's indices and
-    distances depend on the descriptors alone, and its pixels are gathered
-    from the sets it is given."""
+    """The premise of the servo loop's match reuse: match_nn's indices
+    depend on the descriptors alone, and its pixels are gathered from the
+    sets it is given."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_hit_on_equal_descriptors_equals_fresh_match(self, seed):
@@ -207,7 +209,7 @@ class TestMatchMemo:
         tgt2 = feature_set(rng.uniform(0, 200, (50, 2)), tgt.descriptors.copy())
         C1 = match_nn(cur2, tgt2)
         assert len(C1) > 0
-        for name in ("current_indices", "target_indices", "distances"):
+        for name in ("current_indices", "target_indices"):
             a, b = getattr(C0, name), getattr(C1, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
             assert not b.flags.writeable  # the loop hands them out again
@@ -534,8 +536,7 @@ class TestRansacPrior:
         assert R.model is prior
         assert np.array_equal(R.indices, np.arange(n)) and len(R) == n
         # the pairs are C's own arrays, not gathered again
-        for field in ("current_indices", "target_indices", "distances",
-                      "current_pixels", "target_pixels"):
+        for field in ("current_indices", "target_indices", "current_pixels", "target_pixels"):
             assert getattr(R, field) is getattr(C, field), field
         assert rng.bit_generator.state == state
         assert calls == {"hypotheses": 0, "refits": 0}
@@ -772,19 +773,18 @@ class TestRansac:
 
     @pytest.mark.parametrize("outlier_frac", [0.0, 0.4, 0.8])
     def test_inlier_fields_are_the_parent_rows(self, outlier_frac):
-        # parent pairs with shuffled feature indices and distinct distances,
-        # so each field's gather at `indices` is checked against its own row
+        # parent pairs with shuffled feature indices, so each field's gather
+        # at `indices` is checked against its own row
         planted, n_in = planted_pairs(21, 40, outlier_frac)
         rng = np.random.default_rng(22)
         C = CorrespondenceSet(
-            rng.permutation(40), rng.permutation(40) + 100, np.sort(rng.uniform(0, 1, 40)),
+            rng.permutation(40), rng.permutation(40) + 100,
             planted.current_pixels, planted.target_pixels,
         )
         R = ransac_inliers(C, RansacConfig(seed=5))
         assert np.array_equal(R.indices, np.arange(n_in))
         assert len(R) == R.indices.size == n_in
-        for field in ("current_indices", "target_indices", "distances",
-                      "current_pixels", "target_pixels"):
+        for field in ("current_indices", "target_indices", "current_pixels", "target_pixels"):
             got, parent = getattr(R, field), getattr(C, field)
             assert got.tobytes() == parent[R.indices].tobytes(), field
             assert got.shape == parent[R.indices].shape, field
@@ -813,7 +813,7 @@ def inliers_over(target, target_indices):
     idx = np.asarray(target_indices, dtype=np.int64)
     rows = np.arange(n, dtype=np.int64)
     pixels = target.pixels[idx]
-    return InlierSet(rows, idx, np.zeros(n), pixels, pixels, indices=rows, model=np.eye(3))
+    return InlierSet(rows, idx, pixels, pixels, indices=rows, model=np.eye(3))
 
 
 class TestTracking:

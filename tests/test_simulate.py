@@ -54,7 +54,7 @@ def offset_config(target_pose, xi, **kwargs):
     )
 
 
-TABLE = ("points", "descriptors", "ids", "scores", "sq_norms")  # a scene's per-row arrays
+TABLE = ("points", "descriptors", "ids", "scores")  # a scene's per-row arrays
 
 
 class TestScene:
@@ -77,7 +77,7 @@ class TestScene:
     def test_one_read_only_landmark_table(self, box_scene):
         n = box_scene.points.shape[0]
         assert box_scene.descriptors.shape == (n, 256)
-        for a in (box_scene.ids, box_scene.scores, box_scene.sq_norms):
+        for a in (box_scene.ids, box_scene.scores):
             assert a.shape == (n,)
         for name in TABLE:
             assert not getattr(box_scene, name).flags.writeable
@@ -168,7 +168,7 @@ class TestRenderMatchesOldBody:
         new = render_target(scene, pose, intrinsics)
         old = old_render_target(scene, pose, intrinsics)
         assert new.image_size == old.image_size
-        for name in ("pixels", "descriptors", "scores", "depths", "landmark_ids", "sq_norms"):
+        for name in ("pixels", "descriptors", "scores", "depths", "landmark_ids"):
             a, b = getattr(new, name), getattr(old, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         return len(new)
@@ -668,6 +668,19 @@ class TestRunServo:
         trace = run_servo(clean_scene, cfg)
         assert trace.status == "InsufficientFeatures"
         assert len(trace) < 50
+
+    def test_tracking_loss_is_a_starved_cycle(self, clean_scene, target_pose, monkeypatch):
+        # the lock forms on cycle 1 and every later RANSAC call starves: the
+        # tracked cycle that loses the lock is the first of the starved run
+        spy_ransac(monkeypatch, fail_calls=range(2, 100))
+        cfg = offset_config(target_pose, [0.01, 0, 0, 0, 0, 0], tracking_threshold=1e9)
+        trace = run_servo(clean_scene, cfg)
+        assert trace.status == "InsufficientFeatures"
+        assert [r.tracking for r in trace.records[:3]] == [False, True, False]
+        limit = simulate._INSUFFICIENT_LIMIT
+        assert [r.event for r in trace.records] == (
+            ["", "tracking_lost"] + ["insufficient_features"] * (limit - 1)
+        )
 
     def test_noisy_cluttered_runs_converge(self, box_scene, target_pose):
         # 2 cm + 5 deg offsets, default noise, 100 clutter landmarks

@@ -13,6 +13,9 @@ For each of the seeds 0, 1 and 2 this writes, under DIR/seed<s>/:
   noisefree/ `featservo run` and `featservo batch` (two bands, two trials,
              clutter on) with descriptor noise 0, where the servo loop
              reuses the last match while the descriptors repeat
+  dropout/   `featservo run` with detection dropout 0.2, where the tracked
+             matching starves, the lock is given up and the run converges
+             on full matching
   planar/    trace.csv of `run_servo` on a 400-landmark planar scene with
              the default run config at top_k 320
 and prints one `<sha256>  <path relative to DIR>` line per output file.
@@ -61,6 +64,7 @@ CONFIGS = {
         "detector": {"descriptor_noise_sigma": 0},
         "batch": {"bands_cm": [[0, 1], [4, 8]], "trials": 2, "clutter": True},
     },
+    "dropout": {"detector": {"detection_dropout": 0.2}},
 }
 # (output directory, command, config) in run order
 COMMANDS = (
@@ -71,6 +75,7 @@ COMMANDS = (
     ("stress", "run", "stress"),
     ("noisefree", "run", "noisefree"),
     ("noisefree", "batch", "noisefree"),
+    ("dropout", "run", "dropout"),
 )
 
 
