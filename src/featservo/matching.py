@@ -14,7 +14,10 @@ from .errors import TooFewCorrespondences
 from .features import FeatureSet
 
 MIN_SAMPLE = 4  # pairs that fix a homography
-CHUNK = 8  # RANSAC hypotheses drawn, fitted and scored per batch
+CHUNK = 8  # RANSAC hypotheses per step: each step's best may be refit and lower the bound
+# hypotheses x pairs that a block after the first draws, fits and scores at
+# most: cut short by a falling bound, it wastes about one chunk's fixed cost
+BLOCK_ELEMENTS = 1024
 # _minimal_fit's point indices, as arrays once rather than lists per call
 _BASE, _EDGE_A, _EDGE_B = np.array([1, 0, 0, 0]), np.array([2, 3, 1, 1]), np.array([3, 2, 3, 2])
 _ADJ_U, _ADJ_V = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -253,13 +256,19 @@ def ransac_inliers(
     support a chunk's hypothesis must beat to be refit; fewer, and it is
     dropped.
 
-    Hypotheses are drawn CHUNK at a time, one `rng.random` call per chunk.
-    They are fitted in closed form (a degenerate sample gets the zero model,
-    which holds no pair) and scored by their one-sided transfer error. Each
-    chunk's best hypothesis, when it beats every earlier one, is refit on
-    its support and re-thresholded by the symmetric transfer error (local
+    Hypotheses are drawn, fitted in closed form (a degenerate sample gets
+    the zero model, which holds no pair) and scored by their one-sided
+    transfer error in blocks: one `rng.random((size, n))` call, one fit and
+    one score per block. The first block is one chunk; each later one covers
+    what the bound still allows, up to BLOCK_ELEMENTS hypothesis-pair
+    scores. A block is walked CHUNK hypotheses at a time. Each chunk's best
+    hypothesis, when it beats every earlier one, is refit on its support
+    and re-thresholded by the symmetric transfer error (local
     optimisation); a count above the best so far picks the returned set and
     sets the adaptive iteration bound from the standard confidence formula.
+    When the bound falls inside a block, the generator goes back to the
+    block's start and draws the walked chunks again, so the outputs and the
+    generator's final state are those of drawing each chunk alone.
     Every returned pair satisfies the threshold under the returned model,
     which is never singular. Bit-reproducible for a fixed (input, seed,
     prior) when no generator is given.
@@ -289,29 +298,37 @@ def ransac_inliers(
             best_support = best_count = count
             best_mask, best_model = mask, model
             limit = _iteration_bound(count, n, cfg)
-    it = 0
+    it, rows = 0, CHUNK  # the first block is one chunk
     while it < limit:
-        k = min(CHUNK, limit - it)
-        it += k
-        samples = np.argpartition(rng.random((k, n)), MIN_SAMPLE - 1, axis=1)[:, :MIN_SAMPLE]
+        start, end = it, min(it + rows, limit)
+        state = rng.bit_generator.state if end - start > CHUNK else None
+        samples = np.argpartition(rng.random((end - start, n)), MIN_SAMPLE - 1,
+                                  axis=1)[:, :MIN_SAMPLE]
         H = _minimal_fit(src[samples], dst[samples])[0]
         masks = _one_sided_inliers(H, src, dst, t)
         counts = masks.sum(axis=1)
-        j = int(np.argmax(counts))
-        if counts[j] <= best_support:
-            continue
-        best_support = counts[j]
-        # local optimisation; keep the hypothesis when the refit fails
-        model = fit_homography(src[masks[j]], dst[masks[j]])
-        if model is not None:
-            mask = symmetric_transfer_error(model, src, dst) <= t
-        if model is None or mask.sum() < MIN_SAMPLE:
-            model = H[j]
-            mask = symmetric_transfer_error(model, src, dst) <= t
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_mask, best_model = count, mask, model
-            limit = _iteration_bound(count, n, cfg)
+        while it < min(end, limit):
+            lo, k = it - start, min(CHUNK, limit - it)
+            it += k
+            j = lo + int(np.argmax(counts[lo:lo + k]))
+            if counts[j] <= best_support:
+                continue
+            best_support = counts[j]
+            # local optimisation; keep the hypothesis when the refit fails
+            model = fit_homography(src[masks[j]], dst[masks[j]])
+            if model is not None:
+                mask = symmetric_transfer_error(model, src, dst) <= t
+            if model is None or mask.sum() < MIN_SAMPLE:
+                model = H[j]
+                mask = symmetric_transfer_error(model, src, dst) <= t
+            count = int(mask.sum())
+            if count > best_count:
+                best_count, best_mask, best_model = count, mask, model
+                limit = _iteration_bound(count, n, cfg)
+        if it < end:  # the bound fell inside the block: redraw the walked chunks
+            rng.bit_generator.state = state
+            rng.random((it - start, n))
+        rows = max(CHUNK, BLOCK_ELEMENTS // n // CHUNK * CHUNK)
 
     if best_mask is None or best_count < MIN_SAMPLE:
         raise TooFewCorrespondences("no non-degenerate consensus found")

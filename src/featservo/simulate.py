@@ -261,12 +261,18 @@ class ServoLoop:
         self.cfg = cfg
         self.target_full = render = render_target(scene, cfg.target_pose, cfg.intrinsics)
         # the target side of the control law is fixed for the run, as the
-        # render is: s* and Z* by landmark id (render ids are object rows);
-        # every matched target set is the render or a subset of it
+        # render is: s*, Z* and the L* = L(s*, Z*) rows by landmark id (render
+        # ids are object rows); every matched target set is the render or a
+        # subset of it
+        s_star = pixel_to_normalized(render.pixels, cfg.intrinsics)
         self._s_star = np.zeros((scene.n_object, 2))
-        self._s_star[render.landmark_ids] = pixel_to_normalized(render.pixels, cfg.intrinsics)
+        self._s_star[render.landmark_ids] = s_star
         self._Z_star = np.zeros(scene.n_object)
         self._Z_star[render.landmark_ids] = render.depths
+        if not cfg.use_current_interaction:
+            self._L_star = np.zeros((scene.n_object, 2, 6))
+            self._L_star[render.landmark_ids] = stack_interaction(
+                s_star, render.depths).reshape(-1, 2, 6)
         # (the inlier ids in pair order, as bytes, and the pinv of their L* rows)
         self._pinv: tuple | None = None
         self.pose = cfg.initial_pose
@@ -357,7 +363,7 @@ class ServoLoop:
         elif self._pinv is not None and self._pinv[0] == pair_ids.tobytes():
             L_pinv = self._pinv[1]
         else:
-            L_pinv = pseudo_inverse(stack_interaction(s_star, self._Z_star[pair_ids]), tol)
+            L_pinv = pseudo_inverse(self._L_star[pair_ids].reshape(-1, 6), tol)
             self._pinv = (pair_ids.tobytes(), L_pinv)
         twist = control_law(e, L_pinv, cfg.control)
 

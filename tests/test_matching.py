@@ -13,6 +13,7 @@ from featservo.matching import (
     InlierSet,
     RansacConfig,
     _minimal_fit,
+    _one_sided_inliers,
     fit_homography,
     match_nn,
     ransac_inliers,
@@ -370,6 +371,124 @@ class TestChunkedRansacMatchesSerial:
         assert rng.bit_generator.state == replay.bit_generator.state
 
 
+def serial_ransac(C, cfg, rng, prior=None):
+    """The chunk loop ransac_inliers replays: one `rng.random((k, n))` call,
+    one fit and one score per chunk of k = min(CHUNK, limit - it)
+    hypotheses, with the same prior and refit rules. Returns the indices,
+    the model and the hypotheses drawn. It fits and scores with the
+    module's own functions, whatever a test patches in their place."""
+    n = len(C)
+    if n < MIN_SAMPLE:
+        raise TooFewCorrespondences("")
+    src, dst, t = C.current_pixels, C.target_pixels, cfg.inlier_threshold
+    best_count = best_support = 0
+    best_mask = best_model = None
+    limit = cfg.max_iterations
+    if prior is not None:
+        model, mask = prior, matching.symmetric_transfer_error(prior, src, dst) <= t
+        count = int(mask.sum())
+        if MIN_SAMPLE <= count < n:
+            refit = matching.fit_homography(src[mask], dst[mask])
+            if refit is not None:
+                refit_mask = matching.symmetric_transfer_error(refit, src, dst) <= t
+                if refit_mask.sum() >= count:
+                    model, mask, count = refit, refit_mask, int(refit_mask.sum())
+        if count >= MIN_SAMPLE:
+            best_support = best_count = count
+            best_mask, best_model = mask, model
+            limit = matching._iteration_bound(count, n, cfg)
+    it = 0
+    while it < limit:
+        k = min(CHUNK, limit - it)
+        it += k
+        samples = np.argpartition(rng.random((k, n)), MIN_SAMPLE - 1, axis=1)[:, :MIN_SAMPLE]
+        H = _minimal_fit(src[samples], dst[samples])[0]
+        masks = _one_sided_inliers(H, src, dst, t)
+        counts = masks.sum(axis=1)
+        j = int(np.argmax(counts))
+        if counts[j] <= best_support:
+            continue
+        best_support = counts[j]
+        model = matching.fit_homography(src[masks[j]], dst[masks[j]])
+        if model is not None:
+            mask = matching.symmetric_transfer_error(model, src, dst) <= t
+        if model is None or mask.sum() < MIN_SAMPLE:
+            model = H[j]
+            mask = matching.symmetric_transfer_error(model, src, dst) <= t
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask, best_model = count, mask, model
+            limit = matching._iteration_bound(count, n, cfg)
+    if best_mask is None or best_count < MIN_SAMPLE:
+        raise TooFewCorrespondences("")
+    return np.flatnonzero(best_mask), best_model, it
+
+
+class TestBlockedRansacMatchesChunkLoop:
+    """ransac_inliers draws, fits and scores several chunks in one block and
+    walks them chunk by chunk; where the bound falls inside a block it
+    rewinds the generator to the chunks walked. Indices, model bytes,
+    exception and generator state equal the chunk loop's."""
+
+    @staticmethod
+    def outcome(call, C, cfg, seed, prior):
+        rng = np.random.default_rng([seed, 0x5C])
+        try:
+            indices, model = call(C, cfg, rng, prior)[:2]
+            result = (indices.tobytes(), model.tobytes())
+        except TooFewCorrespondences:
+            result = "TooFewCorrespondences"
+        return result, rng.bit_generator.state
+
+    def test_randomized_sets_and_bounds(self, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(matching, "_one_sided_inliers",
+                            lambda H, *args: blocks[-1].append(len(H)) or _one_sided_inliers(H, *args))
+
+        def blocked(C, cfg, rng, prior):
+            R = ransac_inliers(C, cfg, rng=rng, prior=prior)
+            return R.indices, R.model
+
+        gen = np.random.default_rng(28)
+        rewinds = 0
+        for case in range(300):
+            n = int(gen.integers(4, 81))
+            C, _ = planted_pairs(case, n, gen.choice([0.0, 0.3, 0.6, 0.8, 1.0]))
+            cfg = RansacConfig(max_iterations=int(gen.choice([1, 8, 11, 50, 1000])))
+            prior = shifted(known_homography(), gen.uniform(0.0, 3.0)) if case % 2 else None
+            blocks.append([])
+            new = self.outcome(blocked, C, cfg, case, prior)
+            assert new == self.outcome(serial_ransac, C, cfg, case, prior), case
+            try:
+                drawn = serial_ransac(C, cfg, np.random.default_rng([case, 0x5C]), prior)[2]
+            except TooFewCorrespondences:
+                continue
+            # more fitted than drawn: the bound fell inside a block
+            rewinds += sum(blocks[-1]) > drawn
+        assert rewinds > 0
+
+    def test_bound_falling_inside_a_block_rewinds(self, monkeypatch):
+        # at 50% outliers no first chunk finds the consensus; the block after
+        # it does, and its bound ends the call before the block's end
+        sizes = []
+        monkeypatch.setattr(matching, "_one_sided_inliers",
+                            lambda H, *args: sizes.append(len(H)) or _one_sided_inliers(H, *args))
+        for seed in range(50):
+            sizes.clear()
+            C, _ = planted_pairs(seed, 20, 0.5)
+            rng = np.random.default_rng(seed)
+            ransac_inliers(C, RansacConfig(), rng=rng)
+            drawn = serial_ransac(C, RansacConfig(), np.random.default_rng(seed))[2]
+            if len(sizes) > 1 and sum(sizes) > drawn:
+                break
+        else:
+            pytest.fail("no call stopped inside a block")
+        assert sizes[0] == CHUNK and sizes[1] > CHUNK
+        replay = np.random.default_rng(seed)
+        chunk_draws(replay, 20, drawn)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
 class TestOneSidedScore:
     def test_pairs_mapped_behind_are_outliers(self):
         src = np.random.default_rng(34).uniform(20, 300, (10, 2))
@@ -450,23 +569,37 @@ class TestMinimalFit:
 class TestRansacConsensus:
     @pytest.mark.parametrize("outlier_frac", [0.0, 0.2, 0.4, 0.6, 0.8])
     def test_recovers_planted_inliers(self, outlier_frac, monkeypatch):
-        drawn = []
-        minimal_fit = matching._minimal_fit
-        monkeypatch.setattr(matching, "_minimal_fit",
-                            lambda src, dst: drawn.append(len(src)) or minimal_fit(src, dst))
+        fitted = []
+        monkeypatch.setattr(matching, "_one_sided_inliers",
+                            lambda H, *args: fitted.append(len(H)) or _one_sided_inliers(H, *args))
         for seed in range(5):
-            drawn.clear()
+            fitted.clear()
             C, n_in = planted_pairs(seed, 50, outlier_frac)
             cfg = RansacConfig(max_iterations=5000, seed=seed)
-            R = ransac_inliers(C, cfg)
+            rng = np.random.default_rng(cfg.seed)  # the generator cfg.seed gives
+            R = ransac_inliers(C, cfg, rng=rng)
             assert np.array_equal(R.indices, np.arange(n_in))
             # the returned model is a local refit (scaled to H[2, 2] = 1), not
             # a hypothesis (scaled so that its fourth point maps with w = 1)
             assert R.model[2, 2] == 1.0
-            # the confidence bound of the planted fraction ends the loop
+            # the confidence bound of the planted fraction ends the loop: the
+            # generator stands where drawing T <= that many hypotheses, chunk
+            # by chunk, leaves it
             w = n_in / len(C)
             needed = 1 if w == 1 else np.ceil(np.log1p(-cfg.confidence) / np.log1p(-w**4))
-            assert sum(drawn) <= CHUNK * np.ceil(needed / CHUNK)
+            state, scan = rng.bit_generator.state, np.random.default_rng(cfg.seed)
+            for drawn in range(int(CHUNK * np.ceil(needed / CHUNK)) + 1):
+                if scan.bit_generator.state == state:
+                    break
+                scan.random(len(C))  # one hypothesis further
+            else:
+                pytest.fail("the generator stands past the confidence bound")
+            replay = np.random.default_rng(cfg.seed)
+            chunk_draws(replay, len(C), drawn)
+            assert replay.bit_generator.state == state
+            # fitted ahead of the draws: less than one block
+            block = max(CHUNK, matching.BLOCK_ELEMENTS // len(C) // CHUNK * CHUNK)
+            assert drawn <= sum(fitted) < drawn + block
 
     def test_pixel_origin_behind_the_model(self):
         # w = 0.01 x - 0.5 is positive over the pairs but negative at (0, 0):

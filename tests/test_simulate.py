@@ -500,11 +500,11 @@ class TestTrackingLock:
 
 
 class TestControlCaches:
-    """The target side of the control law, s* and Z*, is computed once per
-    run, from the render, into a table read by landmark id. The L* =
-    L(s*, Z*) rows and their pinv are built once per change of the inlier
-    ids in pair order, whatever target set they were matched in.
-    use_current_interaction builds L(s, Z) every cycle and no L* rows."""
+    """The target side of the control law, s*, Z* and the L* = L(s*, Z*)
+    rows, is computed once per run, from the render, into a table read by
+    landmark id. The pinv of the gathered L* rows is built once per change
+    of the inlier ids in pair order, whatever target set they were matched
+    in. use_current_interaction builds L(s, Z) every cycle and no L* rows."""
 
     def from_scratch(self, cfg, R, target, current):
         """-gain * pinv(L) @ (s - s*) of the inlier pairs R, in R's order."""
@@ -565,22 +565,24 @@ class TestControlCaches:
         pinv = spy(monkeypatch, "pseudo_inverse")
         cfg = dropout_box_config(target_pose, seed)
         loop = ServoLoop(box_scene, cfg)
-        # no L* rows at construction
-        assert len(calls) == 0
+        # one L* build, at construction, on the render's s* and Z* in row order
         render = loop.target_full
+        assert len(calls) == 1
+        (s_star, depths), L = calls[0]
+        assert s_star.tobytes() == pixel_to_normalized(render.pixels, cfg.intrinsics).tobytes()
+        assert depths.tobytes() == render.depths.tobytes()
         records, targets = step_to_end(loop)
-        # one L* build per pseudo-inverse miss, on the render's s* and Z* of
-        # the pair ids, and the pseudo-inverse of what it built
+        assert len(calls) == 1
+        # each pseudo-inverse miss inverts the built rows of the pair ids,
+        # the very bytes that building them for those ids alone gives
         keys = [pair_ids(t, R) for t, (_, R) in zip(targets, ransac) if R is not None]
         missed = keys[:1] + [b for a, b in zip(keys, keys[1:]) if a != b]
-        assert len(calls) == len(pinv) == len(missed) > 1
+        assert len(pinv) == len(missed) > 1
         row = {i: r for r, i in enumerate(render.landmark_ids.tolist())}
-        render_s_star = pixel_to_normalized(render.pixels, cfg.intrinsics)
-        for ((s_star, depths), L), ((L_arg, _), _), ids in zip(calls, pinv, missed):
+        for ((L_arg, _), _), ids in zip(pinv, missed):
             rows = [row[i] for i in ids]
-            assert s_star.tobytes() == render_s_star[rows].tobytes()
-            assert depths.tobytes() == render.depths[rows].tobytes()
-            assert L_arg is L
+            assert L_arg.tobytes() == L.reshape(-1, 2, 6)[rows].tobytes()
+            assert L_arg.tobytes() == stack_interaction(s_star[rows], depths[rows]).tobytes()
         assert records[-1].mean_error < cfg.success_threshold
         assert [R is not None for _, R in ransac] == [r.event == "" for r in records]
         changes = [0] + [

@@ -18,6 +18,10 @@ For each of the seeds 0, 1 and 2 this writes, under DIR/seed<s>/:
              on full matching
   planar/    trace.csv of `run_servo` on a 400-landmark planar scene with
              the default run config at top_k 320
+  basin/     `featservo batch` on the default config (1000 RANSAC
+             iterations), two trials, clutter on, in the 16-24 and 24-32 cm
+             bands with 20 deg rotations, where trials fail and RANSAC runs
+             long past its first chunk of hypotheses
 and prints one `<sha256>  <path relative to DIR>` line per output file.
 SRC is the source directory to import featservo from (default: this
 checkout's src/). To check that a change keeps every output byte for byte:
@@ -65,6 +69,8 @@ CONFIGS = {
         "batch": {"bands_cm": [[0, 1], [4, 8]], "trials": 2, "clutter": True},
     },
     "dropout": {"detector": {"detection_dropout": 0.2}},
+    "basin": {"batch": {"bands_cm": [[16, 24], [24, 32]], "rotation_deg": [20, 20, 20],
+                        "trials": 2, "clutter": True}},
 }
 # (output directory, command, config) in run order
 COMMANDS = (
@@ -76,6 +82,7 @@ COMMANDS = (
     ("noisefree", "run", "noisefree"),
     ("noisefree", "batch", "noisefree"),
     ("dropout", "run", "dropout"),
+    ("basin", "batch", "basin"),
 )
 
 
